@@ -1,31 +1,30 @@
-"""The paper's running example, programmed as literal Table Tasks.
+"""The paper's running example, run through the AQUOMAN simulator.
 
 Builds the intro's ``sales_transactions`` / ``inventory`` store
 (Sec. III), then runs:
 
 1. the Fig. 1 aggregate query — net sale and revenue per department
-   before a date — as ONE Table Task through the Row Selector, the PE
-   systolic array, and the Aggregate-GroupBy accelerator;
-2. the Fig. 4/Fig. 5 join query — total shoe sales after a date — as a
-   chain of Table Tasks communicating through device DRAM, exactly the
-   paper's ``tabletask_0/1/2`` listing.
+   before a date — whose filter, arithmetic and group-by the device
+   runs as one Table Task: Row Selector, PE systolic array,
+   Aggregate-GroupBy;
+2. the Fig. 4/Fig. 5 join query — total shoe sales after a date —
+   whose two filtered scans meet in a sort-merge join through device
+   DRAM, as the paper's ``tabletask_0/1/2`` chain does.
+
+Each plan is checked against the host engine's result.
 
     python examples/sales_analytics.py
 """
 
 import numpy as np
 
-from repro.core import AquomanDevice, SwissknifeOp, TableTask, TaskOutput
-from repro.core.device import ROWID
-from repro.core.row_selector import (
-    ColumnPredicate,
-    PredicateOp,
-    PredicateProgram,
-)
-from repro.sqlir.expr import col, lit
+from repro.core import AquomanSimulator, DeviceConfig
+from repro.engine import Engine
+from repro.sqlir import AggFunc, col, lit, lit_date, scan
 from repro.storage import Catalog, Column, Table
 from repro.storage.types import DECIMAL, INT64, date_to_days
 from repro.util.rng import RngStream
+from repro.util.units import fmt_bytes
 
 
 def build_store(n_items: int = 200, n_sales: int = 5000) -> Catalog:
@@ -106,124 +105,64 @@ def build_store(n_items: int = 200, n_sales: int = 5000) -> Catalog:
     return catalog
 
 
-def fig1_aggregate_query(device: AquomanDevice) -> None:
+def fig1_aggregate_query():
     """Net sale and revenue per department before 2018-12-01 (Fig. 1)."""
-    print("Fig. 1 — aggregate query as one Table Task")
     netsale = col("price") * (1 - col("discount"))
-    revenue = netsale * (1 + col("tax"))
-    task = TableTask(
-        table="sales_transactions",
-        row_sel=PredicateProgram(
-            (
-                ColumnPredicate(
-                    "saledate",
-                    PredicateOp.LE,
-                    date_to_days("2018-12-01"),
-                ),
-            )
-        ),
-        row_transf=(
-            ("department", col("department")),
-            ("netsale", netsale),
-            ("revenue", revenue),
-        ),
-        operator=SwissknifeOp.AGGREGATE_GROUPBY,
-        operator_args={
-            "keys": ["department"],
-            "aggs": [
-                ("netsale", "sum", "netsale"),
-                ("revenue", "sum", "revenue"),
-            ],
-        },
-        output=TaskOutput.HOST,
-    )
-    print(f"  {task}")
-    out = device.run_table_task(task)
-    for dept, net, rev in zip(
-        out.column("department").heap.decode_many(
-            out.column("department").values
-        ),
-        out.column("netsale").values,
-        out.column("revenue").values,
-    ):
-        print(
-            f"  {dept:8s} netsale={net / 10**4:14.2f} "
-            f"revenue={rev / 10**6:14.2f}"
+    return (
+        scan("sales_transactions")
+        .filter(col("saledate") <= lit_date("2018-12-01"))
+        .project(
+            department=col("department"),
+            netsale=netsale,
+            revenue=netsale * (1 + col("tax")),
         )
-
-
-def fig5_join_query(device: AquomanDevice) -> None:
-    """Total shoe sales after 2018-03-15, as the Fig. 5 task chain."""
-    print("\nFig. 5 — join query as three Table Tasks through DRAM")
-    tasks = [
-        # tabletask_0: shoe inventory ids -> AQUOMAN_MEM_0
-        TableTask(
-            table="inventory",
-            row_transf=(("invt_id", col("invt_id")),),
-            operator=SwissknifeOp.NOP,
-            output=TaskOutput.AQUOMAN_MEM,
-            output_name="AQUOMAN_MEM_0",
-        ),
-        # tabletask_1: late sales' item ids, sort-merged with MEM_0
-        TableTask(
-            table="sales_transactions",
-            row_sel=PredicateProgram(
-                (
-                    ColumnPredicate(
-                        "saledate",
-                        PredicateOp.GT,
-                        date_to_days("2018-03-15"),
-                    ),
-                )
-            ),
-            row_transf=(("invt_id", col("invt_id")),),
-            operator=SwissknifeOp.SORT_MERGE,
-            operator_args={"with": "AQUOMAN_MEM_0", "key": "invt_id"},
-            output=TaskOutput.AQUOMAN_MEM,
-            output_name="AQUOMAN_MEM_1",
-        ),
-    ]
-    # Pre-filter inventory to shoes inside task 0's transform: the
-    # category predicate is a regex-accelerator bit column.
-    tasks[0].row_transf = (
-        ("invt_id", col("invt_id")),
-        ("is_shoe", col("category") == lit("Shoes")),
+        .aggregate(
+            keys=("department",),
+            aggs=[
+                ("netsale", AggFunc.SUM, col("netsale")),
+                ("revenue", AggFunc.SUM, col("revenue")),
+            ],
+        )
+        .plan
     )
 
-    for task in tasks:
-        print(f"  {task}")
-        device.run_table_task(task)
 
-    # Reduce MEM_0 to the shoe ids (the NOP task's mask output), then
-    # total the matching sales; on hardware the mask rides with MEM_0.
-    mem0 = device.load_intermediate("AQUOMAN_MEM_0")
-    shoe_ids = mem0.column("invt_id").values[
-        mem0.column("is_shoe").values.astype(bool)
-    ]
-    merged = device.load_intermediate("AQUOMAN_MEM_1")
-    matched = np.intersect1d(merged.column("invt_id").values, shoe_ids)
-
-    # tabletask_2: aggregate prices of matched sales.
-    sales = device.catalog.table("sales_transactions")
-    keep = np.isin(sales.column("invt_id").values, matched) & (
-        sales.column("saledate").values > date_to_days("2018-03-15")
+def fig5_join_query():
+    """Total shoe sales after 2018-03-15 (Fig. 4/Fig. 5)."""
+    shoes = (
+        scan("inventory")
+        .filter(col("category") == lit("Shoes"))
+        .project(shoe_id=col("invt_id"))
     )
-    total = int(sales.column("price").values[keep].sum())
-    print(f"  shoe sales after 2018-03-15: {total / 100:.2f}")
-    print(f"  device DRAM in use: {device.memory!r}")
+    return (
+        scan("sales_transactions")
+        .filter(col("saledate") > lit_date("2018-03-15"))
+        .join(shoes, "invt_id", "shoe_id")
+        .aggregate(aggs=[("shoe_sales", AggFunc.SUM, col("price"))])
+        .plan
+    )
+
+
+def run(catalog: Catalog, title: str, plan) -> None:
+    print(title)
+    result = AquomanSimulator(catalog, DeviceConfig()).run(plan)
+    baseline = Engine(catalog).execute(plan)
+    assert baseline.equals(result.table.renamed("result")), title
+    print(result.table.head())
+    trace, device = result.trace, result.device
+    print("  matches host engine : yes")
+    print(f"  rows on device      : {trace.offload_fraction_rows:.0%}")
+    print(f"  flash streamed      : {fmt_bytes(trace.aquoman_flash_bytes)}")
+    print(f"  rows transformed    : {device.meters.rows_transformed}")
+    print(f"  sorter traffic      : {trace.aquoman_sorter_bytes} bytes")
+    print(f"  device DRAM peak    : "
+          f"{fmt_bytes(trace.aquoman_dram_peak_bytes)}\n")
 
 
 def main() -> None:
     catalog = build_store()
-    device = AquomanDevice(catalog)
-    fig1_aggregate_query(device)
-    fig5_join_query(device)
-    meters = device.meters
-    print("\nDevice meters:")
-    print(f"  table tasks run : {meters.tasks_run}")
-    print(f"  flash streamed  : {meters.flash_bytes} bytes")
-    print(f"  rows transformed: {meters.rows_transformed}")
-    print(f"  sorter traffic  : {meters.sorter_bytes} bytes")
+    run(catalog, "Fig. 1 — aggregate query", fig1_aggregate_query())
+    run(catalog, "Fig. 5 — join query", fig5_join_query())
 
 
 if __name__ == "__main__":

@@ -16,9 +16,10 @@ The package is organised bottom-up:
 - :mod:`repro.engine`    — the software baseline: a column-at-a-time
   vectorised executor standing in for MonetDB, plus a host cost model.
 - :mod:`repro.tpch`      — TPC-H dbgen and all 22 queries as plan builders.
-- :mod:`repro.core`      — AQUOMAN itself: Table Tasks, the three
-  accelerators, the streaming sorter, DRAM management, the query compiler
-  and the device pipeline.
+- :mod:`repro.core`      — AQUOMAN itself: the three accelerators, the
+  streaming sorter, DRAM management, the query compiler, and the
+  simulator whose ``DeviceExecutor`` models each Table Task component
+  by component.
 - :mod:`repro.perf`      — trace records, SF scaling and the timing /
   memory models behind every figure and table of the paper's evaluation.
 """

@@ -83,9 +83,6 @@ def default_config() -> LintConfig:
             "repro.engine.procpool:SpanThreadPool._worker_loop",
             # the per-span pipeline both backends execute
             "repro.engine.morsel:SpanRunner.run_span_safe",
-            # the device's streamed Row Selector chunk closure
-            "repro.core.device:AquomanDevice._select_streamed"
-            ".<locals>.run_span",
             # the time-series sampler thread (rollup-ring writes)
             "repro.obs.timeseries:Sampler._loop",
             "repro.obs.timeseries:Sampler.tick",

@@ -5,6 +5,10 @@ three programmable accelerators (Sec. IV):
 
 ``Row Selector`` → ``Row Transformer`` → ``SQL Swissknife``
 
+The simulator's ``DeviceExecutor`` models a Table Task component by
+component: it runs each offloaded plan subtree through the component
+models below, metering flash, sorter and DRAM traffic as it goes.
+
 - :mod:`repro.core.pe` / :mod:`repro.core.dataflow` — the Row
   Transformer's systolic array of integer vector PEs and the compiler
   that maps expression dataflow graphs onto them;
@@ -15,12 +19,13 @@ three programmable accelerators (Sec. IV):
   the 1 GB-block Streaming Sorter;
 - :mod:`repro.core.memory` — the device DRAM manager for join
   intermediates;
-- :mod:`repro.core.tabletask` / :mod:`repro.core.device` — the Table
-  Task model and the device that runs them against flash;
-- :mod:`repro.core.compiler` — the query compiler: offload analysis,
-  suspension rules (Sec. VI-E), Table Task emission;
-- :mod:`repro.core.simulator` — end-to-end query execution combining
-  the device with the host engine, emitting performance traces.
+- :mod:`repro.core.device` — the device: flash metering plus the
+  accelerator and DRAM models one simulated SSD holds;
+- :mod:`repro.core.compiler` — the query compiler: offload analysis and
+  suspension rules (Sec. VI-E);
+- :mod:`repro.core.simulator` — end-to-end query execution: the
+  ``DeviceExecutor`` runs offloaded subtrees on the device, the host
+  engine runs the rest, and both emit performance traces.
 """
 
 from repro.core.pe import PE, PEProgram, Instruction, Opcode
@@ -28,7 +33,6 @@ from repro.core.dataflow import TransformGraph, map_to_pes
 from repro.core.row_selector import RowSelector, ColumnPredicate, PredicateProgram
 from repro.core.regex_accel import RegexAccelerator, REGEX_CACHE_BYTES
 from repro.core.memory import DeviceMemory, MemoryExceeded
-from repro.core.tabletask import TableTask, SwissknifeOp, TaskOutput
 from repro.core.device import AquomanDevice, DeviceConfig
 from repro.core.compiler import (
     OffloadDecision,
@@ -52,9 +56,6 @@ __all__ = [
     "REGEX_CACHE_BYTES",
     "DeviceMemory",
     "MemoryExceeded",
-    "TableTask",
-    "SwissknifeOp",
-    "TaskOutput",
     "AquomanDevice",
     "DeviceConfig",
     "QueryCompiler",

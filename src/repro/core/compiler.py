@@ -16,9 +16,11 @@ pipeline can execute it, and why not when it can't:
 4. **DRAM exceeded** — join intermediates over device capacity;
    detected at execution, the subtree re-runs on the host.
 
-The compiler also emits the Table Task chain for the offloaded parts
-(the paper's programming model, Fig. 5), which the examples show and
-the tests execute directly on the device.
+Each offload root marks a subtree the device runs as the paper's
+Table Tasks (Sec. V, Fig. 5): the simulator's ``DeviceExecutor`` drives
+that subtree through the Row Selector, the PE array and the Swissknife
+component by component, chaining join intermediates through device
+DRAM.
 """
 
 from __future__ import annotations
@@ -27,11 +29,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.core.regex_accel import REGEX_CACHE_BYTES
-from repro.core.row_selector import (
-    PredicateProgram,
-    extract_predicate_program,
-)
-from repro.core.tabletask import SwissknifeOp, TableTask, TaskOutput
 from repro.sqlir.expr import (
     AggFunc,
     Arith,
@@ -62,7 +59,6 @@ from repro.sqlir.plan import (
     Sort,
 )
 from repro.storage.catalog import Catalog
-from repro.storage.types import TypeKind
 
 
 class SuspendReason(Enum):
@@ -490,116 +486,3 @@ class QueryCompiler:
             if table.has_column(name):
                 return table.name, table.column(name)
         return None
-
-    # -- table task emission ----------------------------------------------------------
-
-    def emit_table_tasks(
-        self, root: Plan, n_evaluators: int = 6
-    ) -> list[TableTask]:
-        """Table Tasks for a simple offloadable pipeline.
-
-        Covers the paper's Fig. 1/Fig. 5 shapes — scan, filter,
-        transform, optional terminal reduction — which is what the
-        examples display and the device executes literally.  (The
-        simulator handles general trees component-wise.)  The default
-        evaluator budget is the paper's "4 to 6 are enough" upper end —
-        Q6's five CP terms need it.
-        """
-        chain: list[Plan] = []
-        node = root
-        while True:
-            chain.append(node)
-            kids = node.children()
-            if not kids:
-                break
-            if len(kids) > 1:
-                raise ValueError(
-                    "emit_table_tasks covers single-table pipelines; "
-                    "use the simulator for join trees"
-                )
-            node = kids[0]
-
-        chain.reverse()
-        if not isinstance(chain[0], Scan):
-            raise ValueError("pipeline must start at a Scan")
-        scan = chain[0]
-
-        base_table = self.catalog.table(scan.table)
-        string_columns = frozenset(
-            c.name for c in base_table.columns if c.ctype.is_string
-        )
-        column_scales = {
-            c.name: (2 if c.ctype.kind is TypeKind.DECIMAL else 0)
-            for c in base_table.columns
-        }
-
-        row_sel_terms = None
-        leftover_filters: list[Expr] = []
-        transform: tuple[tuple[str, Expr], ...] | None = None
-        operator = SwissknifeOp.NOP
-        operator_args: dict = {}
-
-        for node in chain[1:]:
-            if isinstance(node, Filter):
-                program, leftover = extract_predicate_program(
-                    node.predicate,
-                    n_evaluators=n_evaluators,
-                    string_columns=string_columns,
-                    column_scales=column_scales,
-                )
-                if row_sel_terms is None:
-                    row_sel_terms = program
-                else:
-                    leftover_filters.extend(program.terms)  # second filter
-                if leftover is not None:
-                    leftover_filters.append(leftover)
-            elif isinstance(node, Project):
-                transform = node.outputs
-            elif isinstance(node, Aggregate):
-                aggs = [
-                    (s.name, _swiss_func(s.func), s.expr.name
-                     if isinstance(s.expr, ColumnRef) else s.name)
-                    for s in node.aggregates
-                ]
-                if node.keys:
-                    operator = SwissknifeOp.AGGREGATE_GROUPBY
-                    operator_args = {"keys": list(node.keys), "aggs": aggs}
-                else:
-                    operator = SwissknifeOp.AGGREGATE
-                    operator_args = {"aggs": aggs}
-            elif isinstance(node, (Sort, Limit)):
-                continue
-            else:
-                raise ValueError(f"cannot emit a Table Task for {node!r}")
-
-        if leftover_filters:
-            raise ValueError(
-                "pipeline filter does not fit the Row Selector; "
-                "use the simulator"
-            )
-        if transform is None:
-            table = self.catalog.table(scan.table)
-            names = scan.columns or tuple(table.column_names)
-            transform = tuple((n, ColumnRef(n)) for n in names)
-
-        task = TableTask(
-            table=scan.table,
-            row_transf=transform,
-            row_sel=row_sel_terms
-            if row_sel_terms is not None
-            else PredicateProgram(()),
-            operator=operator,
-            operator_args=operator_args,
-            output=TaskOutput.HOST,
-        )
-        return [task]
-
-
-def _swiss_func(func: AggFunc) -> str:
-    return {
-        AggFunc.SUM: "sum",
-        AggFunc.MIN: "min",
-        AggFunc.MAX: "max",
-        AggFunc.COUNT: "cnt",
-        AggFunc.AVG: "sum",  # avg = device sum + host divide by count
-    }[func]

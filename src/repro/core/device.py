@@ -1,11 +1,12 @@
 """The AQUOMAN device: flash + the three accelerators + DRAM.
 
-Executes literal :class:`~repro.core.tabletask.TableTask` chains the
-way the hardware does (Sec. VI): the Row Selector builds row masks
-from its predicate program, the Table Reader streams only the flash
-pages holding selected row vectors, the PE array applies the transform
-graph, and the configured Swissknife operator reduces the stream —
-into device DRAM or back to the host.
+Holds the component models that
+:class:`~repro.core.simulator.DeviceExecutor` drives when it runs an
+offloaded subtree as the paper's Table Tasks (Sec. V/VI): the Row
+Selector's predicate evaluators, the Table Reader's page-skip flash
+metering, the PE array behind :meth:`AquomanDevice._transform` (with
+string predicates pre-lowered by the regex accelerator), the
+Aggregate-GroupBy hash model and the device DRAM manager.
 
 Flash traffic, sorter traffic, DRAM residency and group-by spills are
 all metered; the simulator turns those meters into run times.
@@ -24,12 +25,8 @@ from repro.core.dataflow import (
 from repro.core.memory import DeviceMemory
 from repro.core.regex_accel import RegexAccelerator
 from repro.core.row_selector import RowSelector
-from repro.core.swissknife.groupby import AggregateGroupBy, zip_group_columns
-from repro.core.swissknife.merger import Merger
-from repro.core.swissknife.sorter import StreamingSorter
-from repro.core.swissknife.topk import TopKAccelerator
-from repro.core.tabletask import SwissknifeOp, TableTask, TaskOutput
-from repro.engine.relation import Relation, typed_array_from_column
+from repro.core.swissknife.groupby import AggregateGroupBy
+from repro.engine.relation import Relation
 from repro.faults.injector import get_fault_injector
 from repro.flash.nand import FlashConfig
 from repro.obs import METRICS, NULL_TRACER, NullTracer, Tracer
@@ -43,11 +40,9 @@ from repro.sqlir.expr import (
     evaluate,
 )
 from repro.storage.catalog import Catalog
-from repro.storage.layout import PAGE_BYTES, ROW_VECTOR_SIZE, FlashLayout
+from repro.storage.layout import PAGE_BYTES, FlashLayout
 from repro.util.bitvector import BitVector
 from repro.util.units import GB
-
-ROWID = "@rowid"
 
 
 @dataclass(frozen=True)
@@ -60,13 +55,6 @@ class DeviceConfig:
     pe_imem_size: int | None = None  # None = "as big as needed" (Sec. VII)
     scale_ratio: float = 1.0         # simulated SF / data SF
     flash: FlashConfig = field(default_factory=FlashConfig)
-    # Streaming knobs: rows per morsel fed through the selector/
-    # transformer pipeline (None = monolithic, the original behaviour),
-    # workers evaluating independent morsels, and the worker backend
-    # ("serial" | "thread" | "process", as in MorselConfig).
-    morsel_rows: int | None = None
-    n_workers: int = 1
-    worker_backend: str = "thread"
 
 
 @dataclass
@@ -79,7 +67,6 @@ class DeviceMeters:
     rows_selected: int = 0
     rows_transformed: int = 0
     spilled_groups: int = 0
-    tasks_run: int = 0
     pe_fallback_exprs: int = 0  # transforms evaluated off the PE path
     fault_stall_s: float = 0.0  # injected stalls on the critical channel
 
@@ -104,9 +91,7 @@ class AquomanDevice:
         self.row_selector = RowSelector(self.config.n_predicate_evaluators)
         self.regex_accel = RegexAccelerator()
         self.groupby_accel = AggregateGroupBy()
-        self.merger = Merger()
         self.meters = DeviceMeters()
-        self._mem_tables: dict[str, Relation] = {}
 
     @classmethod
     def from_database(
@@ -174,235 +159,7 @@ class AquomanDevice:
             heap, base_rows, self.config.scale_ratio, constant=constant
         )
 
-    # -- table task execution -----------------------------------------------------
-
-    def run_table_tasks(self, tasks: list[TableTask]) -> Relation | None:
-        """Execute a chain of Table Tasks sequentially (Sec. V).
-
-        Returns the relation of the last host-output task, if any.
-        """
-        result: Relation | None = None
-        for task in tasks:
-            out = self.run_table_task(task)
-            if task.output is TaskOutput.HOST:
-                result = out
-        return result
-
-    def run_table_task(self, task: TableTask) -> Relation:
-        """Execute one Table Task through the full pipeline."""
-        self.meters.tasks_run += 1
-        base = self.catalog.table(task.table)
-        nrows = base.nrows
-
-        tracer = self.tracer
-        with tracer.span("device.table_task", lane="device",
-                         table=task.table):
-            mask = self._resolve_mask(task, nrows)
-            with tracer.span("device.row_selector",
-                             lane="device.row_selector", rows_in=nrows):
-                mask = self._run_row_selector(task, base, mask)
-            with tracer.span("device.transformer",
-                             lane="device.transformer"):
-                transformed = self._run_row_transformer(task, base, mask)
-            with tracer.span("device.swissknife",
-                             lane="device.swissknife",
-                             op=task.operator.name.lower()):
-                output = self._run_swissknife(task, transformed)
-
-        if task.output is TaskOutput.AQUOMAN_MEM:
-            if not task.output_name:
-                raise ValueError("AQUOMAN_MEM output needs output_name")
-            self.store_intermediate(task.output_name, output)
-        else:
-            self.meters.output_bytes += output.nbytes()
-        return output
-
-    def store_intermediate(self, name: str, relation: Relation) -> None:
-        if self.memory.holds(name):
-            self.memory.free(name)
-            self._mem_tables.pop(name, None)
-        self.memory.allocate(name, relation.nbytes())
-        self._mem_tables[name] = relation
-
-    def load_intermediate(self, name: str) -> Relation:
-        try:
-            return self._mem_tables[name]
-        except KeyError:
-            raise KeyError(f"no DRAM intermediate named {name!r}") from None
-
-    def free_intermediate(self, name: str) -> None:
-        self.memory.free(name)
-        del self._mem_tables[name]
-
-    # -- pipeline stages ---------------------------------------------------------
-
-    def _resolve_mask(self, task: TableTask, nrows: int) -> BitVector | None:
-        if task.mask_src is None:
-            return None
-        source = self.load_intermediate(task.mask_src)
-        rowids = source.column(ROWID).values
-        return BitVector.from_indices(rowids.astype(np.int64), nrows)
-
-    def _run_row_selector(
-        self, task: TableTask, base, mask: BitVector | None
-    ) -> BitVector | None:
-        if not len(task.row_sel):
-            return mask
-        columns = {}
-        for name in task.row_sel.columns:
-            col = base.column(name)
-            self.charge_column_read(task.table, name, None)
-            columns[name] = col.values
-        if self.config.morsel_rows:
-            selected = self._select_streamed(
-                task.row_sel, columns, base.nrows, mask,
-                table=task.table,
-            )
-        else:
-            selected = self.row_selector.select(
-                task.row_sel, columns, base.nrows, mask
-            )
-        self.meters.rows_selected += selected.count()
-        return selected
-
-    def _select_streamed(
-        self, program, columns, nrows: int, mask: BitVector | None,
-        table: str = "",
-    ) -> BitVector:
-        """Row Selector over morsel-sized chunks of the column stream.
-
-        Chunks are independent, so with ``n_workers > 1`` they run on
-        the shared persistent worker pool (thread or forked-process,
-        per ``worker_backend``); the concatenated chunk masks are
-        bit-identical to one monolithic select, and the selector meters
-        are charged the monolithic amounts so traces stay comparable
-        across configurations.
-        """
-        step = self.config.morsel_rows
-        spans = [
-            (lo, min(lo + step, nrows)) for lo in range(0, nrows, step)
-        ]
-
-        def run_span(span):
-            lo, hi = span
-            chunk_cols = {n: v[lo:hi] for n, v in columns.items()}
-            base_chunk = (
-                BitVector(mask.bits[lo:hi]) if mask is not None else None
-            )
-            sel = RowSelector(self.config.n_predicate_evaluators)
-            return sel.select(program, chunk_cols, hi - lo, base_chunk).bits
-
-        parts = None
-        if self.config.n_workers > 1 and len(spans) > 1:
-            if self.config.worker_backend == "process" and table:
-                parts = self._select_process(
-                    program, table, mask, spans, run_span
-                )
-            if parts is None:
-                from repro.engine.procpool import get_thread_pool
-
-                pool = get_thread_pool(self.config.n_workers)
-                parts = list(pool.map(run_span, spans))
-        else:
-            parts = [run_span(span) for span in spans]
-        bits = (
-            np.concatenate(parts)
-            if parts
-            else np.ones(nrows, dtype=np.bool_)
-        )
-        self.row_selector.rows_scanned += nrows
-        self.row_selector.masks_produced += -(-nrows // ROW_VECTOR_SIZE)
-        return BitVector(bits)
-
-    def _select_process(
-        self, program, table: str, mask: BitVector | None, spans,
-        run_span,
-    ) -> list | None:
-        """Fan select batches out to the forked pool; None = no pool.
-
-        Batches lost to a dead worker re-run inline (chunks are pure
-        functions of their span), and an unusable pool returns None so
-        the caller falls back to the thread path.
-        """
-        from repro.engine import procpool
-
-        pool = procpool.get_process_pool(
-            self.catalog, self.config.n_workers
-        )
-        if pool is None:
-            return None
-        payload = (
-            table,
-            program,
-            self.config.n_predicate_evaluators,
-            mask.bits if mask is not None else None,
-        )
-        batches = procpool.make_batches(spans, pool.n_workers)
-        requests = [("select", payload, batch) for batch in batches]
-        try:
-            replies = pool.run(requests, procpool.batch_opts(self.tracer))
-        except procpool.PoolBroken:
-            return None
-        injector = get_fault_injector()
-        parts: list = []
-        for reply, batch in zip(replies, batches):
-            if reply.status == "lost":
-                parts.extend(run_span(span) for span in batch)
-                continue
-            procpool.absorb_obs(reply, self.tracer, injector)
-            if reply.status == "done":
-                parts.extend(reply.result)
-            else:
-                raise RuntimeError(
-                    f"select worker failed:\n{reply.message}"
-                )
-        return parts
-
-    def _run_row_transformer(
-        self, task: TableTask, base, mask: BitVector | None
-    ) -> Relation:
-        rowids = (
-            mask.indices()
-            if mask is not None
-            else np.arange(base.nrows, dtype=np.int64)
-        )
-
-        needed = set()
-        for _, expr in task.row_transf:
-            needed |= expr.column_refs()
-        needed.discard(ROWID)
-
-        raw_columns: dict[str, TypedArray] = {}
-        for name in sorted(needed):
-            col = base.column(name)
-            self.charge_column_read(task.table, name, mask)
-            arr = typed_array_from_column(col)
-            raw_columns[name] = TypedArray(
-                self._gather(arr.values, rowids), arr.kind, arr.scale,
-                arr.heap,
-            )
-        raw_columns[ROWID] = TypedArray(rowids, Kind.INT, 0)
-
-        outputs = self._transform(task.row_transf, raw_columns, len(rowids))
-        self.meters.rows_transformed += len(rowids)
-        return outputs
-
-    def _gather(self, values: np.ndarray, rowids: np.ndarray) -> np.ndarray:
-        """Gather selected rows, morsel-at-a-time when streaming.
-
-        Per-morsel fancy indexing touches only the pages holding the
-        morsel's selected rows — on an mmap-backed column this is the
-        physical half of the Table Reader's page skip.  Concatenating
-        the chunk gathers equals one monolithic gather exactly.
-        """
-        step = self.config.morsel_rows
-        if not step or len(rowids) <= step:
-            return values[rowids]
-        cuts = np.searchsorted(
-            rowids, np.arange(step, len(values), step, dtype=np.int64)
-        )
-        parts = [p for p in np.split(rowids, cuts) if len(p)]
-        return np.concatenate([values[p] for p in parts])
+    # -- row transformer ------------------------------------------------------
 
     def _transform(
         self,
@@ -551,174 +308,6 @@ class AquomanDevice:
             [(name, lower(expr)) for name, expr in row_transf],
             prepped,
         )
-
-    # -- swissknife -----------------------------------------------------------------
-
-    def _run_swissknife(self, task: TableTask, stream: Relation) -> Relation:
-        op = task.operator
-        args = task.operator_args
-
-        if op is SwissknifeOp.NOP:
-            return stream
-
-        if op is SwissknifeOp.AGGREGATE:
-            return self._swiss_aggregate(stream, args)
-
-        if op is SwissknifeOp.AGGREGATE_GROUPBY:
-            return self._swiss_groupby(stream, args)
-
-        if op is SwissknifeOp.SORT:
-            return self._swiss_sort(stream, args)
-
-        if op in (SwissknifeOp.MERGE, SwissknifeOp.SORT_MERGE):
-            return self._swiss_merge(stream, args, sort_first=(
-                op is SwissknifeOp.SORT_MERGE))
-
-        if op is SwissknifeOp.TOPK:
-            return self._swiss_topk(stream, args)
-
-        raise NotImplementedError(op)
-
-    def _swiss_aggregate(self, stream: Relation, args: dict) -> Relation:
-        out: dict[str, TypedArray] = {}
-        for name, func, column in args["aggs"]:
-            arr = stream.column(column)
-            values = arr.values.astype(np.int64)
-            result = self._reduce_stream(func, values)
-            out[name] = TypedArray(
-                np.array([result], dtype=np.int64), arr.kind, arr.scale
-            )
-        return Relation(out)
-
-    def _reduce_stream(self, func: str, values: np.ndarray):
-        """AGGREGATE one int64 stream, morsel partials when streaming.
-
-        All four Swissknife scalar aggregates are associative on int64,
-        so merging per-morsel partials (sum of sums, min of mins, ...)
-        is exact — unlike floats, there is no rounding order to care
-        about.
-        """
-        step = self.config.morsel_rows
-        if step and len(values) > step:
-            partials = np.array(
-                [
-                    _reduce_int(func, values[lo:lo + step])
-                    for lo in range(0, len(values), step)
-                ],
-                dtype=np.int64,
-            )
-            merge = "sum" if func == "cnt" else func
-            return _reduce_int(merge, partials)
-        return _reduce_int(func, values)
-
-    def _swiss_groupby(self, stream: Relation, args: dict) -> Relation:
-        keys: list[str] = args["keys"]
-        key_arrays = [stream.column(k) for k in keys]
-        widths = [4 if a.kind is Kind.STR else 8 for a in key_arrays]
-        zipped, id_bytes = zip_group_columns(
-            [a.values for a in key_arrays], widths
-        )
-        funcs = {c: f for _, f, c in args["aggs"]}
-        result = self.groupby_accel.run(
-            zipped,
-            {c: stream.column(c).values for c in funcs},
-            funcs,
-            group_id_bytes=id_bytes,
-        )
-        self.meters.spilled_groups += result.n_spilled_groups
-
-        # Spilled rows are accumulated by the host (Sec. VI-E); the
-        # functional result merges both halves so outputs stay exact.
-        merged = self._merge_spills(stream, keys, args["aggs"], result,
-                                    zipped)
-        return merged
-
-    def _merge_spills(self, stream, keys, aggs, device_result, zipped):
-        from repro.engine.operators.grouping import group_rows
-
-        groups = group_rows([stream.column(k).values for k in keys])
-        out: dict[str, TypedArray] = {}
-        for k in keys:
-            arr = stream.column(k)
-            out[k] = TypedArray(
-                arr.values[groups.representative], arr.kind, arr.scale,
-                arr.heap,
-            )
-        for name, func, column in aggs:
-            arr = stream.column(column)
-            values = arr.values.astype(np.int64)
-            n = groups.n_groups
-            if func == "sum":
-                acc = np.zeros(n, dtype=np.int64)
-                np.add.at(acc, groups.group_of_row, values)
-            elif func == "min":
-                acc = np.full(n, np.iinfo(np.int64).max)
-                np.minimum.at(acc, groups.group_of_row, values)
-            elif func == "max":
-                acc = np.full(n, np.iinfo(np.int64).min)
-                np.maximum.at(acc, groups.group_of_row, values)
-            elif func == "cnt":
-                acc = np.zeros(n, dtype=np.int64)
-                np.add.at(acc, groups.group_of_row, 1)
-            else:
-                raise ValueError(f"unknown aggregate {func!r}")
-            out[name] = TypedArray(acc, arr.kind, arr.scale)
-        return Relation(out)
-
-    def _swiss_sort(self, stream: Relation, args: dict) -> Relation:
-        key = args["key"]
-        keys = stream.column(key).values.astype(np.int64)
-        payload_name = args.get("payload", ROWID)
-        payload = (
-            stream.column(payload_name).values.astype(np.int64)
-            if payload_name in stream.columns
-            else None
-        )
-        element_bytes = 16 if payload is not None else 8
-        sorter = StreamingSorter(element_bytes=element_bytes)
-        sorted_keys, sorted_payload = sorter.sort_fully(keys, payload)
-        self.meters.sorter_bytes += sorter.stats.bytes_in
-
-        out = {key: TypedArray(sorted_keys, Kind.INT, 0)}
-        if sorted_payload is not None:
-            out[payload_name] = TypedArray(sorted_payload, Kind.INT, 0)
-        return Relation(out)
-
-    def _swiss_merge(
-        self, stream: Relation, args: dict, sort_first: bool
-    ) -> Relation:
-        key = args["key"]
-        partner = self.load_intermediate(args["with"])
-        partner_key = args.get("partner_key", key)
-
-        keys = stream.column(key).values.astype(np.int64)
-        if sort_first:
-            sorter = StreamingSorter(element_bytes=8)
-            keys, _ = sorter.sort_fully(keys)
-            self.meters.sorter_bytes += sorter.stats.bytes_in
-
-        matched = self.merger.intersect(
-            keys, np.sort(partner.column(partner_key).values.astype(np.int64))
-        )
-        return Relation({key: TypedArray(matched, Kind.INT, 0)})
-
-    def _swiss_topk(self, stream: Relation, args: dict) -> Relation:
-        key = args["key"]
-        accel = TopKAccelerator(k=args["k"])
-        top = accel.run(stream.column(key).values.astype(np.int64))
-        return Relation({key: TypedArray(top, Kind.INT, 0)})
-
-
-def _reduce_int(func: str, values: np.ndarray):
-    if func == "sum":
-        return values.sum() if len(values) else 0
-    if func == "min":
-        return values.min() if len(values) else 0
-    if func == "max":
-        return values.max() if len(values) else 0
-    if func == "cnt":
-        return len(values)
-    raise ValueError(f"unknown aggregate {func!r}")
 
 
 def effective_heap_bytes(

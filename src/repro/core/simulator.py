@@ -231,18 +231,13 @@ class DeviceExecutor:
         ):
             for term in program.terms:
                 self._consume(dev, term.column)
-            # One cast per distinct CP column, not one per term.
-            cast: dict[str, np.ndarray] = {}
-            for name in program.columns:
-                values = dev.relation.column(name).values
-                if values.dtype != np.int64:
-                    values = values.astype(np.int64)
-                cast[name] = values
-            keep = np.ones(nrows, dtype=np.bool_)
-            for term in program.terms:
-                keep &= term.evaluate(cast[term.column])
-            self.device.meters.rows_selected += int(keep.sum())
-            selected = dev.masked(keep)
+            mask = self.device.row_selector.select(
+                program,
+                {n: dev.relation.column(n).values for n in program.columns},
+                nrows,
+            )
+            self.device.meters.rows_selected += mask.count()
+            selected = dev.masked(mask.bits)
 
         if leftover is not None:
             # Forwarded to the Row Transformer (Sec. VI-A): remaining

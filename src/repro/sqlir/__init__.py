@@ -3,7 +3,8 @@
 A query is a tree of :mod:`plan` nodes whose leaves are table scans and
 whose edges carry :mod:`expr` expressions.  The same IR is executed two
 ways: vectorised in software by :mod:`repro.engine` (the MonetDB
-stand-in), and compiled to Table Tasks by :mod:`repro.core.compiler`.
+stand-in), and by :mod:`repro.core.simulator`, which runs the subtrees
+:mod:`repro.core.compiler` picks on the AQUOMAN device model.
 
 Arithmetic follows the hardware: decimals are fixed-point integers with
 an explicit scale (AQUOMAN's PEs are integer-only, Table II), and only

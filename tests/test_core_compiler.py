@@ -4,7 +4,6 @@ import pytest
 
 from repro import tpch
 from repro.core.compiler import QueryCompiler, SuspendReason
-from repro.core.tabletask import SwissknifeOp
 from repro.sqlir import AggFunc, col, lit, lit_date, scan
 from repro.sqlir.expr import Like, ScalarSubquery, Substring
 from repro.sqlir.plan import Aggregate, Scan
@@ -191,30 +190,3 @@ class TestTpchClasses:
     def test_string_bound_queries_not_fully_offloadable(self, compiled):
         for n in (9, 13, 22):
             assert not compiled[n].fully_offloadable()
-
-
-class TestTableTaskEmission:
-    def test_q6_single_task(self, small_db):
-        compiler = QueryCompiler(small_db)
-        tasks = compiler.emit_table_tasks(tpch.query(6))
-        assert len(tasks) == 1
-        task = tasks[0]
-        assert task.table == "lineitem"
-        # shipdate x2, discount x2, quantity: five CP terms (the paper's
-        # "4 to 6 evaluators" upper end).
-        assert len(task.row_sel) == 5
-        assert task.operator is SwissknifeOp.AGGREGATE
-
-    def test_q1_single_task_groupby(self, small_db):
-        compiler = QueryCompiler(small_db)
-        tasks = compiler.emit_table_tasks(tpch.query(1))
-        task = tasks[0]
-        assert task.operator is SwissknifeOp.AGGREGATE_GROUPBY
-        assert task.operator_args["keys"] == [
-            "l_returnflag", "l_linestatus",
-        ]
-
-    def test_join_tree_rejected(self, small_db):
-        compiler = QueryCompiler(small_db)
-        with pytest.raises(ValueError, match="single-table"):
-            compiler.emit_table_tasks(tpch.query(3))

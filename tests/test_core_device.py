@@ -1,22 +1,17 @@
-"""The device executing literal Table Tasks (the paper's Fig. 1/Fig. 5)."""
+"""The device running the paper's running example (Fig. 1/Fig. 5).
+
+Plans over the intro's ``sales_transactions`` / ``inventory`` store go
+through :class:`~repro.core.AquomanSimulator`, whose ``DeviceExecutor``
+runs each offloaded subtree as Table Tasks on the device's component
+models; the assertions read those models' meters.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    AquomanDevice,
-    DeviceConfig,
-    SwissknifeOp,
-    TableTask,
-    TaskOutput,
-)
-from repro.core.device import ROWID
-from repro.core.row_selector import (
-    ColumnPredicate,
-    PredicateOp,
-    PredicateProgram,
-)
-from repro.sqlir.expr import col, lit
+from repro.core import AquomanDevice, AquomanSimulator, DeviceConfig
+from repro.engine import Engine
+from repro.sqlir import AggFunc, JoinKind, col, lit, lit_date, scan
 from repro.storage import Catalog, Column, Table
 from repro.storage.types import DECIMAL, INT64, date_to_days
 
@@ -69,182 +64,122 @@ def store_db():
     return cat
 
 
+def simulate(catalog, builder):
+    """Run a plan on the simulator, checked against the host engine."""
+    plan = builder.plan
+    result = AquomanSimulator(catalog, DeviceConfig()).run(plan)
+    assert Engine(catalog).execute(plan).equals(
+        result.table.renamed("result")
+    )
+    assert result.trace.offload_fraction_rows == 1.0
+    return result
+
+
+def late_sales():
+    return scan("sales_transactions").filter(
+        col("saledate") > lit_date("2018-03-15")
+    )
+
+
+def shoes():
+    return scan("inventory").filter(col("category") == lit("Shoes"))
+
+
 class TestSingleTableTask:
     def test_filter_transform_aggregate(self, store_db):
         """The Fig. 1 aggregate query as one Table Task."""
-        device = AquomanDevice(store_db)
-        task = TableTask(
-            table="sales_transactions",
-            row_sel=PredicateProgram(
-                (
-                    ColumnPredicate(
-                        "saledate",
-                        PredicateOp.GT,
-                        date_to_days("2018-03-15"),
-                    ),
-                )
+        result = simulate(
+            store_db,
+            late_sales().aggregate(
+                aggs=[("total", AggFunc.SUM, col("price"))]
             ),
-            row_transf=(("price", col("price")),),
-            operator=SwissknifeOp.AGGREGATE,
-            operator_args={"aggs": [("total", "sum", "price")]},
-            output=TaskOutput.HOST,
         )
-        out = device.run_table_task(task)
-        # Sales after 2018-03-15: 20.0? no - txn 2 is 03-20 -> included.
         # Included: 20 + 8 + 12 + 21 + 6 = 67.
-        assert out.column("total").values.tolist() == [6700]
-        assert device.meters.tasks_run == 1
+        assert result.table.column("total").logical() == [67.0]
+        device = result.device
+        assert device.row_selector.rows_scanned == 8
+        assert device.meters.rows_selected == 5
         assert device.meters.flash_bytes > 0
 
     def test_groupby_task(self, store_db):
-        device = AquomanDevice(store_db)
-        task = TableTask(
-            table="sales_transactions",
-            row_transf=(
-                ("s_invt_id", col("s_invt_id")),
-                ("price", col("price")),
+        result = simulate(
+            store_db,
+            scan("sales_transactions").aggregate(
+                keys=("s_invt_id",),
+                aggs=[("total", AggFunc.SUM, col("price"))],
             ),
-            operator=SwissknifeOp.AGGREGATE_GROUPBY,
-            operator_args={
-                "keys": ["s_invt_id"],
-                "aggs": [("total", "sum", "price")],
-            },
         )
-        out = device.run_table_task(task)
         got = dict(
             zip(
-                out.column("s_invt_id").values.tolist(),
-                out.column("total").values.tolist(),
+                result.table.column("s_invt_id").logical(),
+                result.table.column("total").logical(),
             )
         )
-        assert got[1] == 2100  # 10.0 + 11.0
-        assert got[3] == 4100
-
-    def test_topk_task(self, store_db):
-        device = AquomanDevice(store_db)
-        task = TableTask(
-            table="sales_transactions",
-            row_transf=(("price", col("price")),),
-            operator=SwissknifeOp.TOPK,
-            operator_args={"k": 2, "key": "price"},
-        )
-        out = device.run_table_task(task)
-        assert out.column("price").values.tolist() == [2100, 2000]
+        assert got[1] == 21.0  # 10.0 + 11.0
+        assert got[3] == 41.0
+        assert result.device.meters.spilled_groups == 0
 
     def test_transform_runs_on_pes(self, store_db):
-        device = AquomanDevice(store_db)
-        task = TableTask(
-            table="sales_transactions",
-            row_transf=(("net", col("price") * (1 - lit(0.5))),),
+        result = simulate(
+            store_db,
+            scan("sales_transactions")
+            .project(net=col("price") * (1 - lit(0.5)))
+            .aggregate(aggs=[("net", AggFunc.SUM, col("net"))]),
         )
-        out = device.run_table_task(task)
-        assert out.column("net").values[0] == 10.0 * 100 * 50
-        assert device.meters.pe_fallback_exprs == 0  # pure PE path
+        assert result.table.column("net").logical() == [46.5]
+        assert result.device.meters.rows_transformed == 8
+        assert result.device.meters.pe_fallback_exprs == 0  # pure PE path
 
     def test_regex_prelowering(self, store_db):
-        device = AquomanDevice(store_db)
-        task = TableTask(
-            table="inventory",
-            row_transf=(
-                ("is_shoe", col("category") == lit("Shoes")),
-                ("invt_id", col("invt_id")),
-            ),
+        result = simulate(
+            store_db,
+            shoes().aggregate(aggs=[("n", AggFunc.COUNT, None)]),
         )
-        out = device.run_table_task(task)
-        assert out.column("is_shoe").values.tolist() == [1, 0, 1, 0, 1, 0]
-        assert device.regex_accel.rows_evaluated == 6
+        assert result.table.column("n").logical() == [3]
+        # The small-domain category heap fits the regex cache: the
+        # string predicate became a one-bit column on the device.
+        assert result.device.regex_accel.rows_evaluated == 6
+        assert result.device.meters.pe_fallback_exprs == 0
 
 
 class TestJoinTaskChain:
     def test_fig5_join_pipeline(self, store_db):
-        """The paper's Fig. 5: three Table Tasks joining through DRAM."""
-        device = AquomanDevice(store_db)
-        tasks = [
-            TableTask(
-                table="inventory",
-                row_transf=((("s_invt_id"), col("invt_id")),),
-                operator=SwissknifeOp.NOP,
-                output=TaskOutput.AQUOMAN_MEM,
-                output_name="MEM_0",
-            ),
-            TableTask(
-                table="sales_transactions",
-                row_sel=PredicateProgram(
-                    (
-                        ColumnPredicate(
-                            "saledate",
-                            PredicateOp.GT,
-                            date_to_days("2018-03-15"),
-                        ),
-                    )
-                ),
-                row_transf=(("s_invt_id", col("s_invt_id")),),
-                operator=SwissknifeOp.SORT_MERGE,
-                operator_args={"with": "MEM_0", "key": "s_invt_id"},
-                output=TaskOutput.AQUOMAN_MEM,
-                output_name="MEM_1",
-            ),
-        ]
-        device.run_table_tasks(tasks)
-        merged = device.load_intermediate("MEM_1")
-        # Matched inventory ids of post-03-15 sales: {3, 4, 5, 6} each 1.
-        assert sorted(merged.column("s_invt_id").values.tolist()) == [
-            3, 4, 5, 6,
-        ]
-        assert device.meters.sorter_bytes > 0
+        """The paper's Fig. 5: shoe sales after a date, joined on-device."""
+        result = simulate(
+            store_db,
+            late_sales()
+            .join(shoes(), "s_invt_id", "invt_id")
+            .aggregate(aggs=[("total", AggFunc.SUM, col("price"))]),
+        )
+        # Late shoe sales: items 3, 5, 3 -> 20 + 12 + 21.
+        assert result.table.column("total").logical() == [53.0]
+        assert result.device.meters.sorter_bytes > 0
 
     def test_mask_src_from_dram(self, store_db):
-        device = AquomanDevice(store_db)
-        selected = np.array([0, 2, 4], dtype=np.int64)
-        from repro.engine.relation import Relation
-        from repro.sqlir.expr import Kind, TypedArray
-
-        device.store_intermediate(
-            "MASK", Relation({ROWID: TypedArray(selected, Kind.INT, 0)})
+        """A semi-join: the DRAM-resident shoe ids mask the sales scan."""
+        result = simulate(
+            store_db,
+            scan("sales_transactions")
+            .join(shoes(), "s_invt_id", "invt_id", kind=JoinKind.SEMI)
+            .aggregate(aggs=[("total", AggFunc.SUM, col("price"))]),
         )
-        task = TableTask(
-            table="sales_transactions",
-            mask_src="MASK",
-            row_transf=(("price", col("price")),),
-            operator=SwissknifeOp.AGGREGATE,
-            operator_args={"aggs": [("total", "sum", "price")]},
-        )
-        out = device.run_table_task(task)
-        assert out.column("total").values.tolist() == [4200]  # 10+20+12
-
-    def test_sort_task_stores_sorted_keys(self, store_db):
-        device = AquomanDevice(store_db)
-        task = TableTask(
-            table="sales_transactions",
-            row_transf=(
-                ("price", col("price")),
-                (ROWID, col(ROWID)),
-            ),
-            operator=SwissknifeOp.SORT,
-            operator_args={"key": "price", "payload": ROWID},
-            output=TaskOutput.AQUOMAN_MEM,
-            output_name="SORTED",
-        )
-        device.run_table_task(task)
-        stored = device.load_intermediate("SORTED")
-        keys = stored.column("price").values
-        assert (np.diff(keys) >= 0).all()
-        assert device.memory.holds("SORTED")
+        # Shoe items 1, 3, 5: 10 + 20 + 12 + 11 + 21.
+        assert result.table.column("total").logical() == [74.0]
+        assert result.device.memory.peak_effective > 0
 
     def test_memory_lifecycle(self, store_db):
-        device = AquomanDevice(store_db)
-        from repro.engine.relation import Relation
-        from repro.sqlir.expr import Kind, TypedArray
-
-        rel = Relation(
-            {ROWID: TypedArray(np.arange(4), Kind.INT, 0)}
+        result = simulate(
+            store_db,
+            late_sales()
+            .join(shoes(), "s_invt_id", "invt_id")
+            .aggregate(aggs=[("total", AggFunc.SUM, col("price"))]),
         )
-        device.store_intermediate("X", rel)
-        assert device.memory.holds("X")
-        device.free_intermediate("X")
-        assert not device.memory.holds("X")
-        with pytest.raises(KeyError):
-            device.load_intermediate("X")
+        memory = result.device.memory
+        # The join build side and its RowID pairs lived in DRAM and
+        # were freed when the subtree finished.
+        assert memory.peak_effective > 0
+        assert memory.allocations == []
+        assert memory.used_effective == 0
 
 
 class TestTrafficAccounting:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro import tpch
-from repro.core import AquomanSimulator, DeviceConfig
 from repro.engine import Engine, MorselConfig
 from repro.perf.trace import QueryTrace
 from repro.sqlir import AggFunc, col, lit, scan
@@ -141,18 +140,3 @@ class TestChannelAccounting:
         # per channel across all columns.
         assert max(counts) - min(counts) <= len(trace.flash_pages_read)
 
-
-class TestDeviceStreaming:
-    """DeviceConfig's chunked Row Selector / reduction path must agree
-    with the unchunked device, through the full simulator."""
-
-    @pytest.mark.parametrize("n", [1, 6, 12, 14])
-    def test_simulator_differential(self, small_db, n):
-        base = AquomanSimulator(small_db, DeviceConfig()).run(
-            tpch.query(n), query=f"q{n}"
-        )
-        chunked = AquomanSimulator(
-            small_db,
-            DeviceConfig(morsel_rows=8192, n_workers=2),
-        ).run(tpch.query(n), query=f"q{n}")
-        assert_identical(chunked.relation, base.relation)

@@ -8,14 +8,15 @@ landing in the parent tracer's lanes, and a worker killed mid-run
 degrading to inline re-execution without changing a single output bit.
 """
 
+import gc
 import os
 import signal
+import weakref
 
 import numpy as np
 import pytest
 
 from repro import tpch
-from repro.core import AquomanSimulator, DeviceConfig
 from repro.engine import Engine, MorselConfig
 from repro.engine import procpool
 from repro.engine.morsel import (
@@ -280,21 +281,6 @@ class TestTracerAdoption:
         assert [r[0] for r in records] == ["a", "b"]
 
 
-class TestDeviceProcessBackend:
-    @pytest.mark.parametrize("n", [6, 14])
-    def test_simulator_differential(self, small_db, n):
-        base = AquomanSimulator(small_db, DeviceConfig()).run(
-            tpch.query(n), query=f"q{n}"
-        )
-        chunked = AquomanSimulator(
-            small_db,
-            DeviceConfig(
-                morsel_rows=8192, n_workers=2, worker_backend="process"
-            ),
-        ).run(tpch.query(n), query=f"q{n}")
-        assert_identical(chunked.relation, base.relation)
-
-
 class TestThreadPoolSharing:
     def test_pool_is_persistent_per_worker_count(self):
         assert procpool.get_thread_pool(3) is procpool.get_thread_pool(3)
@@ -333,3 +319,17 @@ class TestThreadPoolSharing:
         finally:
             pool.shutdown()
         assert sorted(ran) == [0, 1, 2, 3, 4]
+
+    def test_map_releases_items_and_closure(self):
+        # An idle worker must not pin the last item it ran: the morsel
+        # engine's items and closures hold whole fragment inputs.
+        class Payload:
+            pass
+
+        item, captured = Payload(), Payload()
+        refs = [weakref.ref(item), weakref.ref(captured)]
+        pool = procpool.get_thread_pool(2)
+        assert pool.map(lambda x: x is not captured, [item]) == [True]
+        del item, captured
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]

@@ -44,6 +44,16 @@ class TestOffloadBehaviour:
         assert trace.aquoman_flash_bytes > 0
         assert not trace.suspended
 
+    def test_filters_run_on_the_row_selector(self, small_db, config):
+        # The device's Row Selector evaluates the CP terms, so its
+        # counters (Fig. 17's selector stage) see every scanned row.
+        result = AquomanSimulator(small_db, config).run(
+            tpch.query(6), query="q06"
+        )
+        selector = result.device.row_selector
+        assert selector.rows_scanned == small_db.table("lineitem").nrows
+        assert selector.masks_produced > 0
+
     def test_q9_stays_on_host(self, small_db, config):
         result = AquomanSimulator(small_db, config).run(
             tpch.query(9), query="q09"
