@@ -1,17 +1,13 @@
-"""Morsel streaming throughput: rows/sec vs workers, backend, morsel size.
+"""Morsel streaming throughput: rows/sec vs workers and morsel size.
 
 A Q6-class scan (selective filter + int-SUM reduction over lineitem)
-through the engine's morsel path, swept over ``n_workers`` ∈ {1, 2, 4}
-for both the thread and the process backend, plus a morsel-size sweep
-at one worker.  The thread backend is GIL-bound on Python-level
-dispatch; the process backend forks genuinely concurrent interpreters
-over shared column pages, so on a multi-core host it must show real
-scaling (the acceptance bar: ≥2.5x at 4 workers).  On a single-core
-host (CI containers) neither backend can scale and the assertions
-degrade to "parallel overhead stays bounded" for threads and
-recording-only for processes (IPC on one core is pure overhead).  The
-sweep is emitted as ``BENCH_morsel_scaling.json`` next to the other
-``BENCH_*`` artifacts.
+through the engine's morsel path on the thread pool, swept over
+``n_workers`` ∈ {1, 2, 4}, plus a morsel-size sweep at one worker.  The
+NumPy kernels release the GIL but Python-level dispatch does not, so on
+a 4-core host the bar is ≥2x at 4 workers; on smaller hosts (CI
+containers) the assertion degrades to "parallel overhead stays
+bounded".  The sweep is emitted as ``BENCH_morsel_scaling.json`` next
+to the other ``BENCH_*`` artifacts.
 """
 
 import json
@@ -24,14 +20,11 @@ import numpy as np
 from conftest import print_table, record_run
 from repro.engine import Engine, MorselConfig
 from repro.engine.morsel import MAX_FRAGMENT_MORSELS, TUNED_MORSEL_ROWS
-from repro.engine.procpool import process_backend_available
 from repro.sqlir import AggFunc, col, lit, lit_date, scan
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_morsel_scaling.json"
 
 WORKER_SWEEP = (1, 2, 4)
-BACKENDS = ("thread", "process") if process_backend_available() \
-    else ("thread",)
 MORSEL_SWEEP = (8192, 16384, 32768)
 REPEATS = 3
 
@@ -54,20 +47,20 @@ def _q6_class_plan():
     )
 
 
-def _rows_per_sec(db, morsel_rows, n_workers, backend="thread"):
+def _rows_per_sec(db, morsel_rows, n_workers):
     engine = Engine(
         db,
         morsels=MorselConfig(
             parallel=True,
             morsel_rows=morsel_rows,
             n_workers=n_workers,
-            worker_backend=backend,
+            worker_backend="thread",
         ),
     )
     plan = _q6_class_plan()
     nrows = db.table("lineitem").nrows
-    # Warm once outside the clock: forks the pool (process backend) and
-    # faults the column pages in.
+    # Warm once outside the clock: starts the pool threads and faults
+    # the column pages in.
     engine.execute_relation(plan)
     best = float("inf")
     result = None
@@ -80,39 +73,34 @@ def _rows_per_sec(db, morsel_rows, n_workers, backend="thread"):
 
 def test_morsel_scaling(benchmark, db):
     def run():
-        rates = {backend: {} for backend in BACKENDS}
+        rates = {}
         reference = None
-        for backend in BACKENDS:
-            for n_workers in WORKER_SWEEP:
-                rate, rel = _rows_per_sec(db, 8192, n_workers, backend)
-                rates[backend][n_workers] = rate
-                if reference is None:
-                    reference = rel
-                else:
-                    assert np.array_equal(
-                        rel.column("qty").values,
-                        reference.column("qty").values,
-                    )
+        for n_workers in WORKER_SWEEP:
+            rate, rel = _rows_per_sec(db, 8192, n_workers)
+            rates[n_workers] = rate
+            if reference is None:
+                reference = rel
+            else:
+                assert np.array_equal(
+                    rel.column("qty").values,
+                    reference.column("qty").values,
+                )
         sizes = {
             rows: _rows_per_sec(db, rows, 1)[0] for rows in MORSEL_SWEEP
         }
         return rates, sizes
 
-    rates, sizes = benchmark.pedantic(run, rounds=1, iterations=1)
+    thread, sizes = benchmark.pedantic(run, rounds=1, iterations=1)
 
     cpus = os.cpu_count() or 1
-    for backend in BACKENDS:
-        workers = rates[backend]
-        print_table(
-            f"Morsel scaling [{backend}]: rows/sec vs workers "
-            "(morsel_rows=8192)",
-            ["workers", "M rows/s", "speedup vs 1"],
-            [
-                [n, f"{workers[n] / 1e6:.2f}",
-                 f"{workers[n] / workers[1]:.2f}x"]
-                for n in WORKER_SWEEP
-            ],
-        )
+    print_table(
+        "Morsel scaling [thread]: rows/sec vs workers (morsel_rows=8192)",
+        ["workers", "M rows/s", "speedup vs 1"],
+        [
+            [n, f"{thread[n] / 1e6:.2f}", f"{thread[n] / thread[1]:.2f}x"]
+            for n in WORKER_SWEEP
+        ],
+    )
     print_table(
         "Morsel scaling: rows/sec vs morsel size (1 worker)",
         ["morsel_rows", "M rows/s"],
@@ -127,22 +115,16 @@ def test_morsel_scaling(benchmark, db):
                 "lineitem_rows": db.table("lineitem").nrows,
                 "cpu_count": cpus,
                 "repeats_best_of": REPEATS,
-                "backends": list(BACKENDS),
+                "backends": ["thread"],
                 "rows_per_sec_by_workers": {
-                    backend: {
-                        str(n): rates[backend][n] for n in WORKER_SWEEP
-                    }
-                    for backend in BACKENDS
+                    "thread": {str(n): thread[n] for n in WORKER_SWEEP},
                 },
                 "rows_per_sec_by_morsel_rows": {
                     str(r): sizes[r] for r in MORSEL_SWEEP
                 },
-                "speedup_4_vs_1": {
-                    backend: rates[backend][4] / rates[backend][1]
-                    for backend in BACKENDS
-                },
-                # the retune the size sweep justifies (satellite of the
-                # process-backend PR): CLI defaults moved 8192 -> 32768
+                "speedup_4_vs_1": {"thread": thread[4] / thread[1]},
+                # the retune the size sweep justifies: CLI defaults
+                # moved 8192 -> 32768
                 "tuned_morsel_rows": TUNED_MORSEL_ROWS,
                 "max_fragment_morsels": MAX_FRAGMENT_MORSELS,
             },
@@ -159,17 +141,12 @@ def test_morsel_scaling(benchmark, db):
         morsels=MorselConfig(parallel=True, morsel_rows=8192, n_workers=1),
     )
     probe.execute_relation(_q6_class_plan())
-    thread = rates["thread"]
     metrics = {
         "model.flash_bytes": float(probe.trace.total_flash_bytes),
         "speedup.workers4": thread[4] / thread[1],
         "rate.rows_per_sec_w1": thread[1],
         "rate.rows_per_sec_w4": thread[4],
     }
-    if "process" in rates:
-        metrics["speedup.workers4_process"] = (
-            rates["process"][4] / rates["process"][1]
-        )
     record_run(
         "morsel_scaling",
         metrics,
@@ -178,21 +155,12 @@ def test_morsel_scaling(benchmark, db):
     )
 
     if cpus >= 4:
-        # The acceptance bar: genuinely concurrent interpreters must
-        # beat the GIL-bound thread pool and scale on real cores.
-        if "process" in rates:
-            proc = rates["process"]
-            assert proc[4] >= 2.5 * proc[1], (
-                f"process 4-worker speedup {proc[4] / proc[1]:.2f}x < 2.5x"
-            )
         assert thread[4] >= 2.0 * thread[1], (
             f"thread 4-worker speedup {thread[4] / thread[1]:.2f}x < 2x"
         )
     else:
-        # Single/dual-core host: no backend can speed this up — only
-        # check the thread pool does not drown the pipeline in
-        # overhead.  Process IPC on one core is pure overhead, so its
-        # numbers are recorded but not gated.
+        # Small host: four workers cannot speed this up — only check
+        # the thread pool does not drown the pipeline in overhead.
         assert thread[4] >= 0.5 * thread[1], (
             f"4-worker throughput collapsed to "
             f"{thread[4] / thread[1]:.2f}x of single-worker"

@@ -10,8 +10,8 @@ Commands:
 - ``analyze``  — static analysis: typecheck, suspend prediction,
   PE-program verification and morsel-safety proofs, without executing;
 - ``lint``     — concurrency & determinism lint over the runtime's own
-  source (AQ5xx): worker-context races, fork/pickle-boundary safety,
-  determinism of merge paths, ambient-state discipline; ``--strict``
+  source (AQ5xx): worker-context races, determinism of merge paths,
+  ambient-state discipline; ``--strict``
   exits 1 on findings, ``--selfcheck`` verifies the passes still catch
   seeded violations, ``--baseline`` regenerates the suppression
   baseline;
@@ -724,8 +724,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_profile.add_argument(
         "--backend", choices=WORKER_BACKENDS, default="thread",
-        help="morsel worker backend; 'process' adds proc-worker-N "
-        "lanes to the trace (default thread)",
+        help="morsel worker backend: serial or thread (default thread)",
     )
     p_profile.add_argument(
         "--morsel-rows", type=int, default=TUNED_MORSEL_ROWS,
@@ -814,7 +813,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_doctor.add_argument(
         "--backend", choices=WORKER_BACKENDS, default="thread",
-        help="morsel worker backend (default thread)",
+        help="morsel worker backend: serial or thread (default thread)",
     )
     p_doctor.add_argument(
         "--morsel-rows", type=int, default=TUNED_MORSEL_ROWS,
@@ -906,8 +905,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_chaos.add_argument(
         "--backend", choices=WORKER_BACKENDS, default="thread",
-        help="morsel worker backend; reports are identical across "
-        "backends (default thread)",
+        help="morsel worker backend: serial or thread; reports are "
+        "identical across backends (default thread)",
     )
     p_chaos.add_argument(
         "--out", metavar="FILE",

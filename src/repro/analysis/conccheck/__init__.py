@@ -3,25 +3,22 @@ source (``python -m repro lint``).
 
 PR 2 made static verdicts the correctness gate for *plans*
 (AQ1xx–AQ4xx); this package extends the same discipline to the
-runtime's own code.  The guarantees the process pool and the fault
-layer depend on — bit-identical recovery as a pure function of
-``(seed, site)``, fork/pickle safety across the pool boundary,
-deterministic lane attribution, ambient-state hygiene — are checked
+runtime's own code.  The guarantees the morsel thread pool and the
+fault layer depend on — bit-identical recovery as a pure function of
+``(seed, site)``, deterministic lane attribution, ambient-state
+hygiene — are checked
 from the AST, without importing or executing the code under analysis,
 and emitted as stable ``AQ5xx`` diagnostics with ``file:line`` loci
 in the same human/JSON formats as ``repro analyze``.
 
-Four passes (see DESIGN.md §11 for the full code table):
+Three passes (see DESIGN.md §11 for the full code table):
 
 - **races** (AQ501–AQ503): writes to module/class-level state
   reachable from worker entry points, without a lock;
-- **boundary** (AQ510–AQ513): lambdas, closures and known-unpicklable
-  captures crossing the ``ProcessPool`` dispatch boundary;
 - **determinism** (AQ520–AQ523): unseeded RNGs, wall-clock reads,
   ``id()``-keyed decisions and set-iteration-order dependence in
   result-affecting paths;
-- **ambient** (AQ530–AQ531): ambient tracer/injector installation and
-  repatriation (``Tracer.adopt`` / ``FaultInjector.absorb``) outside
+- **ambient** (AQ530): ambient tracer/injector installation outside
   the sanctioned points.
 
 True negatives are justified in-line with ``# conc: safe — reason``;
@@ -37,7 +34,6 @@ import time
 from pathlib import Path
 
 from repro.analysis.conccheck.ambient import run_ambient_pass
-from repro.analysis.conccheck.boundary import run_boundary_pass
 from repro.analysis.conccheck.config import (
     LintConfig,
     default_baseline_path,
@@ -80,8 +76,7 @@ def lint_project(
 
     for missing in project.missing_roots(
         (*config.worker_roots, *config.result_roots,
-         *config.sanctioned_installers,
-         *config.sanctioned_repatriation)
+         *config.sanctioned_installers)
     ):
         report.add(lint_diag(
             "AQ500",
@@ -98,8 +93,6 @@ def lint_project(
     raw: list[LintDiagnostic] = []
     if "races" in config.passes:
         raw += run_races_pass(project, worker_reachable)
-    if "boundary" in config.passes:
-        raw += run_boundary_pass(project)
     if "determinism" in config.passes:
         raw += run_determinism_pass(
             project, result_scope,
@@ -110,8 +103,6 @@ def lint_project(
             project, worker_reachable,
             installers=config.ambient_installers,
             sanctioned_installers=config.sanctioned_installers,
-            repatriation_methods=config.repatriation_methods,
-            sanctioned_repatriation=config.sanctioned_repatriation,
         )
 
     # The passes drop suppressed findings before they reach us; the

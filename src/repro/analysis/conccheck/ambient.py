@@ -1,4 +1,4 @@
-"""Pass 4 — ambient-state discipline (AQ530–AQ531).
+"""Pass 3 — ambient-state discipline (AQ530).
 
 The runtime's ambient singletons — the global tracer behind
 :data:`~repro.obs.spans.NULL_TRACER`, the global injector behind
@@ -6,17 +6,11 @@ The runtime's ambient singletons — the global tracer behind
 degraded flag — are the one place worker and parent state deliberately
 meet.  The contract (DESIGN.md §10) is narrow:
 
-- worker-side code may *read* ambient state freely
-  (``get_tracer()`` / ``get_fault_injector()`` are cheap and pure),
-  but may only *install* it at the sanctioned process-worker entry
-  points, where each batch gets a fresh per-batch instance
-  (``AQ530`` otherwise);
-- worker observability crosses back to the parent **only** through
-  the repatriation APIs — :meth:`Tracer.adopt` for span records and
-  :meth:`FaultInjector.absorb` for fault deltas — and those APIs are
-  called only from the sanctioned repatriation points (``AQ531``
-  otherwise): a stray ``adopt``/``absorb`` call double-counts
-  counters and fabricates trace lanes.
+worker-side code may *read* ambient state freely
+(``get_tracer()`` / ``get_fault_injector()`` are cheap and pure), but
+may only *install* it at the sanctioned points (``AQ530`` otherwise):
+a pool thread that swaps the process-wide tracer or injector would
+redirect every other worker's spans and fault counters mid-query.
 """
 
 from __future__ import annotations
@@ -34,14 +28,10 @@ def run_ambient_pass(
     worker_reachable: set[str],
     installers: tuple[str, ...],
     sanctioned_installers: tuple[str, ...],
-    repatriation_methods: tuple[str, ...],
-    sanctioned_repatriation: tuple[str, ...],
 ) -> list[LintDiagnostic]:
     out: list[LintDiagnostic] = []
     installer_set = set(installers)
     sanctioned_install = set(sanctioned_installers)
-    repatriation = set(repatriation_methods)
-    sanctioned_repat = set(sanctioned_repatriation)
 
     for info in project.functions_in_scope(set(project.functions)):
         mod = project.module_of(info)
@@ -61,19 +51,8 @@ def run_ambient_pass(
                     "AQ530",
                     f"{name}(...) installs ambient state from "
                     "worker-reachable code outside the sanctioned "
-                    "worker entry points — ambient singletons must "
-                    "only be swapped at batch setup/teardown",
-                    path=info.path, node=node, symbol=info.qualname,
-                ))
-            if name in repatriation and \
-                    isinstance(func, ast.Attribute) and \
-                    info.qualname not in sanctioned_repat and \
-                    not mod.is_safe_line(node.lineno):
-                out.append(lint_diag(
-                    "AQ531",
-                    f".{name}(...) repatriates worker observability "
-                    "outside the sanctioned repatriation points — "
-                    "spans and fault deltas would double-count",
+                    "points — a pool thread that swaps a process-wide "
+                    "singleton redirects every other worker's state",
                     path=info.path, node=node, symbol=info.qualname,
                 ))
     return out

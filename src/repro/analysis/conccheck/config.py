@@ -31,9 +31,9 @@ class LintConfig:
     run needs besides the sources."""
 
     package: str = "repro"
-    # Functions whose bodies execute on worker threads / forked workers.
+    # Functions whose bodies execute on worker threads.
     worker_roots: tuple[str, ...] = ()
-    # Merge / partial-(un)pack functions: deterministic by contract.
+    # Merge functions: deterministic by contract.
     result_roots: tuple[str, ...] = ()
     # Module prefixes exempt from the wall-clock/determinism checks
     # (observability measures time without affecting results).
@@ -46,14 +46,11 @@ class LintConfig:
     )
     # Worker-reachable functions allowed to call the installers.
     sanctioned_installers: tuple[str, ...] = ()
-    # Repatriation method names and their only allowed call sites.
-    repatriation_methods: tuple[str, ...] = ("adopt", "absorb")
-    sanctioned_repatriation: tuple[str, ...] = ()
     # Attribute-call fallback: resolve a method name against every
     # class defining it only when at most this many classes do.
     distinctive_max_definers: int = 3
     passes: tuple[str, ...] = (
-        "races", "boundary", "determinism", "ambient",
+        "races", "determinism", "ambient",
     )
     extra: dict = field(default_factory=dict)
 
@@ -76,12 +73,9 @@ def default_config() -> LintConfig:
     return LintConfig(
         package="repro",
         worker_roots=(
-            # forked process worker: batch loop and dispatcher
-            "repro.engine.procpool:_worker_main",
-            "repro.engine.procpool:_handle",
             # shared thread pool worker loop
             "repro.engine.procpool:SpanThreadPool._worker_loop",
-            # the per-span pipeline both backends execute
+            # the per-span pipeline every pool thread executes
             "repro.engine.morsel:SpanRunner.run_span_safe",
             # the time-series sampler thread (rollup-ring writes)
             "repro.obs.timeseries:Sampler._loop",
@@ -90,27 +84,17 @@ def default_config() -> LintConfig:
         result_roots=(
             "repro.engine.morsel:MorselExecutor._merge",
             "repro.engine.morsel:MorselExecutor._merge_aggregate",
-            "repro.engine.morsel:pack_partial",
-            "repro.engine.morsel:unpack_partial",
             "repro.engine.morsel:_concat_relations",
-            "repro.engine.procpool:absorb_obs",
-            "repro.faults.injector:FaultInjector.absorb",
         ),
         determinism_exempt=("repro.obs",),
         sanctioned_installers=(
-            # process-worker batch setup/teardown
-            "repro.engine.procpool:_worker_main",
-            "repro.engine.procpool:_handle",
             # degradation bookkeeping: the injector flips /healthz on
-            # recovery paths; workers repatriate the flag via replies
+            # recovery paths, including from pool threads
             "repro.faults.injector:FaultInjector.charge_page_reads",
             "repro.faults.injector:FaultInjector.record_fallback",
             "repro.faults.injector:FaultInjector.record_unrecoverable",
             # SLO transitions flip the same degraded flag from the
             # sampler thread (fire → set, drain → clear)
             "repro.obs.slo:SloEngine._sync_degraded",
-        ),
-        sanctioned_repatriation=(
-            "repro.engine.procpool:absorb_obs",
         ),
     )

@@ -197,7 +197,7 @@ class _FunctionScanner(ast.NodeVisitor):
         self.info.local_names.add(node.name)
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
-        pass  # opaque; boundary pass inspects lambdas positionally
+        pass  # opaque: a lambda body is not a separate function
 
     # -- namespace tracking --------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Pass 1 — worker-context race detection (AQ501–AQ503).
 
 Starting from the configured worker entry points (the thread pool's
-worker loop, the forked process worker, the span runner), every
+worker loop, the span runner, the time-series sampler), every
 function the call graph can reach runs concurrently on more than one
 worker.  Inside that set, writes to *shared* state — module-level
 names, module-level mutable containers, class attributes — are races

@@ -46,20 +46,6 @@ def worker_entry(item):
     return item
 '''
 
-_BOUNDARY_SRC = '''\
-from multiprocessing import Process
-
-
-def dispatch(pool, tracer, batches):
-    def helper(batch):
-        return batch
-    pool.run([(lambda b: b, tracer, helper) for b in batches])
-
-
-def spawn(runner):
-    return Process(target=runner.run, args=("x",))
-'''
-
 _DETERMINISM_SRC = '''\
 import random
 import time
@@ -78,13 +64,8 @@ def set_global_tracer(tracer):
     pass
 
 
-def worker_entry(tracer, records):
+def worker_entry(tracer):
     set_global_tracer(tracer)
-    tracer_of_parent().adopt(records)
-
-
-def tracer_of_parent():
-    return None
 '''
 
 
@@ -97,15 +78,6 @@ SCENARIOS: tuple[Scenario, ...] = (
             passes=("races",),
         ),
         expect=("AQ501", "AQ502", "AQ503"),
-    ),
-    Scenario(
-        name="boundary",
-        sources={"seed.boundary": _BOUNDARY_SRC},
-        config=LintConfig(
-            worker_roots=(),
-            passes=("boundary",),
-        ),
-        expect=("AQ510", "AQ511", "AQ512", "AQ513"),
     ),
     Scenario(
         name="determinism",
@@ -123,7 +95,7 @@ SCENARIOS: tuple[Scenario, ...] = (
             worker_roots=("seed.ambient:worker_entry",),
             passes=("ambient",),
         ),
-        expect=("AQ530", "AQ531"),
+        expect=("AQ530",),
     ),
 )
 

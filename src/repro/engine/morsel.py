@@ -29,18 +29,14 @@ Morsels are aligned so every column's page boundary is also a morsel
 boundary; morsels therefore touch disjoint page sets and the per-morsel
 page-skip counts add up exactly in the trace.
 
-Three ``worker_backend`` settings run the spans (all bit-identical):
-``"serial"`` runs them inline, ``"thread"`` uses the shared persistent
-thread pool (the NumPy kernels release the GIL, but Python-level
-dispatch stays serialised), and ``"process"`` dispatches span batches
-to the persistent forked worker pool in
-:mod:`repro.engine.procpool` — genuinely concurrent interpreters over
-the same (copy-on-write / page-cache-shared) column data.  The
-per-span work lives in :class:`SpanRunner`, which both the parent and
-the pool workers instantiate; partials cross the process boundary via
-:func:`pack_partial`/:func:`unpack_partial`, which serialise values
-but replace base-column string heaps with name tokens so the parent
-re-attaches its own heap objects.
+Two ``worker_backend`` settings run the spans (bit-identical):
+``"serial"`` runs them inline and ``"thread"`` uses the shared
+persistent thread pool in :mod:`repro.engine.procpool` (the NumPy
+kernels release the GIL, but Python-level dispatch stays serialised).
+The per-span work lives in :class:`SpanRunner`.  Work that does not
+depend on the span — matching each LIKE pattern against its column's
+string heap — is done once per fragment before any span runs, so spans
+only index the resulting per-code masks.
 """
 
 from __future__ import annotations
@@ -62,18 +58,22 @@ from repro.engine.operators.grouping import (
     group_rows,
 )
 from repro.engine.operators.sorting import multi_key_order
+from repro.engine.procpool import get_thread_pool
 from repro.engine.relation import Relation
 from repro.flash.channels import ChannelMeter
 from repro.obs import METRICS
 from repro.perf.trace import OpTrace
 from repro.sqlir.expr import (
     AggFunc,
+    ColumnRef,
     EvalContext,
     Expr,
     Kind,
+    Like,
     ScalarSubquery,
     TypedArray,
     evaluate,
+    like_code_mask,
 )
 from repro.sqlir.plan import (
     Aggregate,
@@ -86,7 +86,6 @@ from repro.sqlir.plan import (
 )
 from repro.storage.column import Column
 from repro.storage.layout import PAGE_BYTES, FlashLayout
-from repro.storage.stringheap import StringHeap
 from repro.storage.types import TypeKind
 
 # An 8 KB page of 1-byte values holds 8192 rows, and every wider value
@@ -107,7 +106,7 @@ MAX_FRAGMENT_MORSELS = 32
 # The software selector is not bound by the FPGA's 4-evaluator budget.
 HOST_CP_EVALUATORS = 64
 
-WORKER_BACKENDS = ("serial", "thread", "process")
+WORKER_BACKENDS = ("serial", "thread")
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ class MorselConfig:
     parallel: bool = True        # off = monolithic execution everywhere
     morsel_rows: int = DEFAULT_MORSEL_ROWS
     n_workers: int = 1
-    worker_backend: str = "thread"   # "serial" | "thread" | "process"
+    worker_backend: str = "thread"   # "serial" | "thread"
 
     def __post_init__(self):
         if self.worker_backend not in WORKER_BACKENDS:
@@ -275,9 +274,43 @@ def _typed_values(col: Column, values: np.ndarray) -> TypedArray:
     return TypedArray(values.astype(np.int64), Kind.INT, 0)
 
 
-def _apply_step(step: Plan, rel: Relation) -> Relation:
+def _fragment_like_masks(fragment: Fragment, table) -> dict:
+    """Match each LIKE over a base string column once for the fragment.
+
+    Returns the :attr:`~repro.sqlir.expr.EvalContext.like_masks` memo
+    every span of the fragment reads; a LIKE over a derived column
+    (no base heap) is simply left out and evaluates per span as usual.
+    """
+    exprs: list[Expr] = []
+    for step in fragment.steps:
+        if isinstance(step, Filter):
+            exprs.append(step.predicate)
+        else:
+            exprs.extend(e for _, e in step.outputs)
+    if fragment.kind == "aggregate":
+        exprs.extend(
+            spec.expr for spec in fragment.terminal.aggregates
+            if spec.expr is not None
+        )
+    masks: dict = {}
+    while exprs:
+        node = exprs.pop()
+        exprs.extend(node.children())
+        if (
+            isinstance(node, Like)
+            and isinstance(node.column, ColumnRef)
+            and table.has_column(node.column.name)
+        ):
+            heap = table.column(node.column.name).heap
+            if heap is not None:
+                masks[node] = (heap, like_code_mask(node, heap))
+    return masks
+
+
+def _apply_step(step: Plan, rel: Relation, like_masks: dict) -> Relation:
     ctx = EvalContext(
-        columns=rel.columns, nrows=rel.nrows, subquery_executor=None
+        columns=rel.columns, nrows=rel.nrows, subquery_executor=None,
+        like_masks=like_masks,
     )
     if isinstance(step, Filter):
         keep = evaluate(step.predicate, ctx).values.astype(np.bool_)
@@ -353,30 +386,13 @@ class SpanRunner:
     """The per-span pipeline, decoupled from the parent Engine.
 
     Holds exactly the state one morsel needs — table, flash layout,
-    fragment, column lists and a tracer — so the same code runs in the
-    parent (serial/thread backends) and inside a forked pool worker
-    (process backend), where it is rebuilt from the worker's inherited
-    catalog.
+    fragment, column lists, the fragment's LIKE masks and a tracer.
+    Everything is read-only once built, so pool threads share one
+    runner without locks.
     """
 
-    def __init__(
-        self,
-        table,
-        layout: FlashLayout,
-        fragment: Fragment,
-        scan_names: tuple[str, ...],
-        base_names: tuple[str, ...],
-        tracer,
-    ):
-        self.table = table
-        self.layout = layout
-        self.fragment = fragment
-        self.scan_names = scan_names
-        self.base_names = base_names
-        self.tracer = tracer
-
-    @classmethod
-    def for_catalog(cls, catalog, layout, fragment: Fragment, tracer):
+    def __init__(self, catalog, layout: FlashLayout, fragment: Fragment,
+                 tracer):
         table = catalog.table(fragment.scan.table)
         scan_names = (
             fragment.scan.columns
@@ -384,27 +400,17 @@ class SpanRunner:
             else tuple(table.column_names)
         )
         needed = _needed_scan_columns(fragment)
-        base_names = (
+        self.table = table
+        self.layout = layout
+        self.fragment = fragment
+        self.scan_names = scan_names
+        self.base_names = (
             scan_names
             if needed is None
             else tuple(n for n in scan_names if n in needed)
         )
-        return cls(table, layout, fragment, scan_names, base_names, tracer)
-
-    def heap_names(self) -> dict[int, str]:
-        """``id(heap) -> column name`` for the scan's base heaps.
-
-        The token map :func:`pack_partial` uses to ship heap references
-        (not heap contents) across the process boundary.
-        """
-        names: dict[int, str] = {}
-        for name in self.scan_names:
-            heap = self.table.column(name).heap
-            if heap is not None:
-                # conc: safe — id() is a process-local heap token; only
-                # the *name* string crosses the boundary (pack_partial)
-                names[id(heap)] = name
-        return names
+        self.tracer = tracer
+        self.like_masks = _fragment_like_masks(fragment, table)
 
     def run_span_safe(self, span: tuple[int, int]) -> _Partial:
         """Run one morsel with crash injection and bounded re-execution.
@@ -448,7 +454,7 @@ class SpanRunner:
             reads = _SpanReads(self.layout, self.table.name, lo, hi)
             rel, steps_done = self._base_relation(lo, hi, reads)
             for step in self.fragment.steps[steps_done:]:
-                rel = _apply_step(step, rel)
+                rel = _apply_step(step, rel, self.like_masks)
             pages_read, pages_total, page_ids = reads.summary()
             injector = get_fault_injector()
             stall = (
@@ -516,7 +522,8 @@ class SpanRunner:
                 for name in sorted(leftover.column_refs())
             }
             ctx = EvalContext(
-                columns=cols, nrows=len(local), subquery_executor=None
+                columns=cols, nrows=len(local), subquery_executor=None,
+                like_masks=self.like_masks,
             )
             keep = evaluate(leftover, ctx).values.astype(np.bool_)
             local = local[keep]
@@ -554,69 +561,7 @@ class SpanRunner:
         if frag.kind == "topk":
             order = _sort_order(rel, frag.terminal.child.keys)
             return rel.take(order[: frag.terminal.count])
-        return _aggregate_partial(rel, frag.terminal)
-
-
-# ---------------------------------------------------------------------------
-# Partial serialization (process backend)
-# ---------------------------------------------------------------------------
-
-
-def pack_partial(partial: _Partial, heap_names: dict[int, str]) -> tuple:
-    """Flatten a :class:`_Partial` for the worker→parent pipe.
-
-    Column values pickle as plain arrays (a view serialises only its
-    own data, never the mmap behind it).  String heaps do **not**
-    travel by content when they are base-column heaps: those become
-    ``("col", name)`` tokens the parent resolves against its own
-    catalog, so the merged relation carries the parent's heap objects
-    exactly as the thread backend would.  Expression-built heaps
-    (e.g. substring outputs) are inlined as their code-ordered string
-    list and rebuilt verbatim.
-    """
-    packed_columns = []
-    for name, arr in partial.relation.columns.items():
-        if arr.heap is None:
-            token = None
-        else:
-            # conc: safe — same-process lookup; the shipped token is
-            # the column name, never the id value
-            base_name = heap_names.get(id(arr.heap))
-            token = (
-                ("col", base_name)
-                if base_name is not None
-                else ("inline", tuple(arr.heap.strings()))
-            )
-        packed_columns.append(
-            (name, np.ascontiguousarray(arr.values), arr.kind,
-             arr.scale, token)
-        )
-    return (
-        packed_columns,
-        partial.pages_read,
-        partial.pages_total,
-        partial.page_ids,
-        partial.stall_s,
-    )
-
-
-def unpack_partial(packed: tuple, table) -> _Partial:
-    """Rebuild a worker's :class:`_Partial` against the parent catalog."""
-    packed_columns, pages_read, pages_total, page_ids, stall_s = packed
-    columns: dict[str, TypedArray] = {}
-    for name, values, kind, scale, token in packed_columns:
-        if token is None:
-            heap = None
-        elif token[0] == "col":
-            heap = table.column(token[1]).heap
-        else:
-            heap = StringHeap()
-            for value in token[1]:
-                heap.encode(value)
-        columns[name] = TypedArray(values, kind, scale, heap)
-    return _Partial(
-        Relation(columns), pages_read, pages_total, page_ids, stall_s
-    )
+        return _aggregate_partial(rel, frag.terminal, self.like_masks)
 
 
 class MorselExecutor:
@@ -628,11 +573,10 @@ class MorselExecutor:
         self.trace = engine.trace
         self.tracer = engine.tracer
         self.fragment = fragment
-        self.runner = SpanRunner.for_catalog(
+        self.runner = SpanRunner(
             engine.catalog, engine.flash_layout(), fragment, engine.tracer
         )
         self.table = self.runner.table
-        self.layout = self.runner.layout
 
     # -- driver ----------------------------------------------------------------
 
@@ -655,14 +599,7 @@ class MorselExecutor:
     def _effective_backend(self, n_spans: int) -> str:
         if self.config.n_workers <= 1 or n_spans < 2:
             return "serial"
-        backend = self.config.worker_backend
-        if backend == "process":
-            from repro.engine import procpool
-
-            if not procpool.process_backend_available():
-                procpool.warn_once_no_process_backend()
-                return "thread"
-        return backend
+        return self.config.worker_backend
 
     def run(self, spans: list[tuple[int, int]]) -> Relation:
         backend = self._effective_backend(len(spans))
@@ -687,71 +624,10 @@ class MorselExecutor:
     def _execute(
         self, spans: list[tuple[int, int]], backend: str
     ) -> list[_Partial]:
-        if backend == "process":
-            partials = self._execute_process(spans)
-            if partials is not None:
-                return partials
-            backend = "thread"  # pool unavailable: degrade gracefully
         if backend == "thread":
-            from repro.engine.procpool import get_thread_pool
-
             pool = get_thread_pool(self.config.n_workers)
-            return list(pool.map(self.runner.run_span_safe, spans))
+            return pool.map(self.runner.run_span_safe, spans)
         return [self.runner.run_span_safe(span) for span in spans]
-
-    def _execute_process(
-        self, spans: list[tuple[int, int]]
-    ) -> list[_Partial] | None:
-        """Dispatch span batches to the forked pool; None = no pool.
-
-        Replies repatriate each worker's span records and fault deltas
-        before any fault is re-raised, so counters and traces match the
-        thread backend (where every submitted span still runs even
-        when one raises).  Batches lost to a dead worker re-run inline
-        — spans are pure functions of their range.
-        """
-        from repro.engine import procpool
-
-        pool = procpool.get_process_pool(
-            self.engine.catalog, self.config.n_workers
-        )
-        if pool is None:
-            return None
-        batches = procpool.make_batches(spans, pool.n_workers)
-        requests = [("morsel", self.fragment, batch) for batch in batches]
-        try:
-            replies = pool.run(requests, procpool.batch_opts(self.tracer))
-        except procpool.PoolBroken:
-            return None
-        injector = get_fault_injector()
-        partials: list[_Partial] = []
-        failure = None
-        for reply, batch in zip(replies, batches):
-            if reply.status == "lost":
-                partials.extend(
-                    self.runner.run_span_safe(span) for span in batch
-                )
-                continue
-            procpool.absorb_obs(reply, self.tracer, injector)
-            if reply.status == "done":
-                partials.extend(
-                    unpack_partial(p, self.table) for p in reply.result
-                )
-            elif reply.status == "fault":
-                if failure is None:
-                    failure = reply
-            else:  # "err": a real bug in the worker, not an injection
-                raise RuntimeError(
-                    f"morsel worker failed:\n{reply.message}"
-                )
-        if failure is not None:
-            if failure.degraded:
-                from repro.obs.server import set_degraded
-
-                info = dict(failure.degraded)
-                set_degraded(info.pop("reason", "worker fault"), **info)
-            raise UnrecoverableFault(failure.message, site=failure.site)
-        return partials
 
     # -- merge ---------------------------------------------------------------------
 
@@ -885,10 +761,13 @@ def _sort_order(rel: Relation, keys) -> np.ndarray:
     )
 
 
-def _aggregate_partial(child: Relation, plan: Aggregate) -> Relation:
+def _aggregate_partial(
+    child: Relation, plan: Aggregate, like_masks: dict
+) -> Relation:
     """One morsel's pre-reduction: key rows + partial accumulators."""
     ctx = EvalContext(
-        columns=child.columns, nrows=child.nrows, subquery_executor=None
+        columns=child.columns, nrows=child.nrows, subquery_executor=None,
+        like_masks=like_masks,
     )
     key_arrays = [child.column(k) for k in plan.keys]
     groups = group_rows([k.values for k in key_arrays])

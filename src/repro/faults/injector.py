@@ -127,30 +127,6 @@ class FaultInjector:
         )
         return out
 
-    def absorb(self, delta: dict) -> None:
-        """Merge a process worker's repatriated fault bookkeeping.
-
-        ``delta`` is the shape :mod:`repro.engine.procpool` ships:
-        nonzero counter values, the event tuples, and the charged
-        seconds from the worker's per-batch injector.  Counters go
-        through :meth:`_count` so the ``faults.*`` metrics mirror stays
-        consistent with in-process injection.
-        """
-        for name, n in delta.get("counts", {}).items():
-            self._count(name, n)
-        backoff = float(delta.get("backoff_s", 0.0))
-        stall = float(delta.get("stall_s", 0.0))
-        with self._lock:
-            self.backoff_s += backoff
-            self.stall_s += stall
-            for event in delta.get("events", ()):
-                if len(self.events) < _EVENT_LOG_CAP:
-                    self.events.append(tuple(event))
-        if backoff:
-            self.metrics.gauge(
-                "faults.backoff_seconds", "total retry backoff charged"
-            ).add(backoff)
-
     # -- page-granular faults ------------------------------------------------
 
     def charge_page_reads(

@@ -14,10 +14,9 @@ same discipline as the ambient tracer in :mod:`repro.obs.spans`:
    (the simulator's inner :class:`~repro.core.simulator.HybridEngine`,
    scalar subqueries) inherit the owner's identity instead of minting
    their own.
-3. **Workers receive it by wire.**  ``procpool.batch_opts`` ships
-   :meth:`QueryContext.to_wire` in every batch header; the worker-side
-   ``_handle`` installs it for the batch so spans recorded in the
-   worker process carry the same ``qid`` the parent stamps.
+3. **Workers see it for free.**  The context is one process-wide
+   reference, so spans recorded on morsel pool threads carry the same
+   ``qid`` the owning thread stamps.
 
 Identity, not state: a context is frozen at creation.  Everything
 mutable about a query (annotations, counters, the wide event) lives in
@@ -49,19 +48,8 @@ class QueryContext:
     query_id: int
     query: str                 # human label, e.g. "q06"
     fingerprint: str           # structural plan digest (plan_fingerprint)
-    backend: str               # serial | thread | process | device
+    backend: str               # serial | thread | device
     seed: int | None = None    # fault seed when a chaos campaign runs
-
-    def to_wire(self) -> tuple:
-        """Picklable form shipped in procpool batch headers."""
-        return (self.query_id, self.query, self.fingerprint,
-                self.backend, self.seed)
-
-    @classmethod
-    def from_wire(cls, wire: tuple) -> "QueryContext":
-        qid, query, fingerprint, backend, seed = wire
-        return cls(query_id=qid, query=query, fingerprint=fingerprint,
-                   backend=backend, seed=seed)
 
 
 # -- monotonic query ids -------------------------------------------------------
@@ -104,9 +92,8 @@ def sql_digest(sql: str | None) -> str | None:
 
 # -- the ambient context -------------------------------------------------------
 
-# Installed by qlog.query_scope for the owning execution's duration and
-# by procpool._handle for each worker batch; None means "no query is
-# running", the stamping fast path.
+# Installed by qlog.query_scope for the owning execution's duration;
+# None means "no query is running", the stamping fast path.
 _context: QueryContext | None = None
 
 

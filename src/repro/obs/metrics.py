@@ -86,7 +86,7 @@ def flat_key(name: str, labelset: tuple[tuple[str, str], ...]) -> str:
 class _LabelsMixin:
     """Labeled-children support shared by every instrument class.
 
-    ``counter("queries_total").labels(backend="process")`` returns a
+    ``counter("queries_total").labels(backend="thread")`` returns a
     *child* instrument of the same class, cached on the parent by its
     canonical (sorted) label set, so hot loops hold the child reference
     and pay exactly the unlabeled update cost.  The parent remains a

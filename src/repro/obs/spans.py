@@ -125,9 +125,9 @@ class Span:
         args = self.args
         if ctx is not None:
             # Stamp the owning query onto the record at completion
-            # time, so every span — including worker spans repatriated
-            # by adopt() and inline re-runs after a dead worker — is
-            # attributable without call sites threading the id through.
+            # time, so every span — including those recorded on pool
+            # worker threads — is attributable without call sites
+            # threading the id through.
             if args is None:
                 args = {"qid": ctx.query_id}
             else:
@@ -148,7 +148,6 @@ class Tracer:
         self.epoch_ns = time.monotonic_ns()
         self._local = threading.local()
         self._logs: list[_ThreadLog] = []
-        self._adopted: dict[str, _ThreadLog] = {}
         self._lock = threading.Lock()
 
     # -- recording -----------------------------------------------------------
@@ -179,25 +178,6 @@ class Tracer:
             with self._lock:
                 self._logs.append(log)
         return log
-
-    def adopt(self, thread_name: str, records: list[SpanRecord]) -> None:
-        """Ingest records produced outside this process.
-
-        Process-pool workers repatriate their span tuples with each
-        reply; the parent files them under a synthetic lane (e.g.
-        ``proc-worker-3``) so the Chrome export and the doctor's lane
-        accounting see worker rows exactly like thread rows.  Worker
-        timestamps come from the same system-wide ``CLOCK_MONOTONIC``,
-        so they line up against this tracer's epoch unchanged.
-        """
-        with self._lock:
-            log = self._adopted.get(thread_name)
-            if log is None:
-                log = _ThreadLog(thread_name, self.ring_capacity)
-                self._adopted[thread_name] = log
-                self._logs.append(log)
-        for record in records:
-            log.append(tuple(record))
 
     # -- reading -------------------------------------------------------------
 

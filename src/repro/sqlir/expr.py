@@ -416,6 +416,10 @@ class EvalContext:
     nrows: int
     scalar_cache: dict[int, TypedArray] = field(default_factory=dict)
     subquery_executor: object | None = None
+    # Optional LIKE memo, ``Like -> (heap, like_code_mask over it)``: the
+    # morsel engine matches each fragment's patterns once, so its spans
+    # only index the masks.  An entry applies only to its own heap.
+    like_masks: dict[Like, tuple[StringHeap, np.ndarray]] | None = None
 
     def column(self, name: str) -> TypedArray:
         try:
@@ -624,18 +628,30 @@ def _eval_bool(expr: BoolExpr, ctx: EvalContext) -> TypedArray:
     return TypedArray(out, Kind.BOOL)
 
 
+def like_code_mask(expr: Like, heap: StringHeap) -> np.ndarray:
+    """Per-code match mask of ``expr``'s pattern over ``heap`` (un-negated).
+
+    The pattern runs once per *unique* heap string and rows then index
+    by code — the same strategy as AQUOMAN's regex accelerator over its
+    1 MB cache.
+    """
+    regex = expr.regex()
+    return np.fromiter(
+        (regex.match(s) is not None for s in heap.strings()),
+        dtype=np.bool_,
+        count=heap.unique_count,
+    )
+
+
 def _eval_like(expr: Like, ctx: EvalContext) -> TypedArray:
     column = evaluate(expr.column, ctx)
     if column.kind is not Kind.STR or column.heap is None:
         raise TypeError("LIKE requires a string column")
-    regex = expr.regex()
-    # Evaluate the pattern once per *unique* heap string, then map codes —
-    # the same strategy as AQUOMAN's regex accelerator over its 1 MB cache.
-    per_code = np.fromiter(
-        (regex.match(s) is not None for s in column.heap.strings()),
-        dtype=np.bool_,
-        count=column.heap.unique_count,
-    )
+    memo = ctx.like_masks.get(expr) if ctx.like_masks else None
+    if memo is not None and memo[0] is column.heap:
+        per_code = memo[1]
+    else:
+        per_code = like_code_mask(expr, column.heap)
     mask = per_code[column.values]
     if expr.negated:
         mask = ~mask

@@ -24,7 +24,7 @@ from repro.storage.types import (
 class Column:
     """Typed, named column of fixed-width integer values."""
 
-    __slots__ = ("name", "ctype", "values", "heap", "source_path")
+    __slots__ = ("name", "ctype", "values", "heap")
 
     def __init__(
         self,
@@ -41,11 +41,6 @@ class Column:
         self.ctype = ctype
         self.values = np.asarray(values, dtype=ctype.dtype)
         self.heap = heap
-        # Set by load_catalog on mmap-backed columns: the column file's
-        # path, which lets a forked pool worker re-open the mapping in
-        # its own process (reopen_mapped_columns).  None for in-memory
-        # and derived columns.
-        self.source_path = None
 
     # -- constructors ----------------------------------------------------------
 

@@ -173,10 +173,7 @@ def load_catalog(directory: str | Path, *, mmap: bool = True) -> Catalog:
                     if payload:
                         for value in payload.decode().split("\x00"):
                             heap.encode(value)
-                column = Column(meta["name"], ctype, raw, heap)
-                if mmap:
-                    column.source_path = table_dir / f"{meta['name']}.bin"
-                columns.append(column)
+                columns.append(Column(meta["name"], ctype, raw, heap))
         primary_key = manifest["primary_keys"].get(table_name)
         catalog.add_table(Table(table_name, columns), primary_key)
 
@@ -189,32 +186,3 @@ def load_catalog(directory: str | Path, *, mmap: bool = True) -> Catalog:
             ForeignKey(table, column, ref_table, ref_column)
         )
     return catalog
-
-
-def reopen_mapped_columns(catalog: Catalog) -> int:
-    """Re-open every disk-backed column mapping by path, in place.
-
-    A forked process-pool worker inherits the parent's memmaps; the
-    pages are already shared through the OS page cache, but the file
-    descriptors behind them belong to the parent.  Re-mapping by
-    ``source_path`` gives the worker its own descriptors over the same
-    cached pages — still zero-copy, no pickled column data.  Columns
-    without a recorded path (in-memory catalogs, derived columns) are
-    left untouched.  Returns the number of columns re-opened.
-    """
-    reopened = 0
-    for table_name in catalog.table_names():
-        for column in catalog.table(table_name).columns:
-            path = column.source_path
-            if path is None or not column.is_mapped:
-                continue
-            column.values = np.asarray(
-                np.memmap(
-                    path,
-                    dtype=column.ctype.dtype,
-                    mode="r",
-                    shape=(column.nrows,),
-                )
-            )
-            reopened += 1
-    return reopened

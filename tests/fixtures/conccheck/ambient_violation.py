@@ -1,14 +1,9 @@
-"""Seeded AQ530/AQ531 violations (lint fixture)."""
+"""Seeded AQ530 violation (lint fixture)."""
 
 
 def set_global_tracer(tracer):
     pass
 
 
-def parent_tracer():
-    return None
-
-
-def worker_entry(tracer, records):
+def worker_entry(tracer):
     set_global_tracer(tracer)
-    parent_tracer().adopt(records)

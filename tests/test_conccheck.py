@@ -66,39 +66,7 @@ def test_races_ignores_non_worker_code():
     assert codes == set()
 
 
-# -- pass 2: fork/pickle boundary ------------------------------------------
-
-
-BOUNDARY = LintConfig(passes=("boundary",))
-
-
-def test_boundary_violation_detected():
-    codes, _ = run_fixture("boundary_violation", BOUNDARY)
-    assert codes == {"AQ510", "AQ511", "AQ512", "AQ513"}
-
-
-def test_boundary_clean_fixture_passes():
-    codes, _ = run_fixture("boundary_clean", BOUNDARY)
-    assert codes == set()
-
-
-def test_boundary_call_results_do_not_flag_operands():
-    # batch_opts(self.tracer): the call's *result* ships, not the
-    # tracer operand — the real procpool dispatch idiom must be clean.
-    project = Project.from_sources({
-        "fix.ok": (
-            "def batch_opts(tracer):\n"
-            "    return {'trace': tracer is not None}\n"
-            "\n"
-            "def dispatch(pool, tracer, requests):\n"
-            "    pool.run(requests, batch_opts(tracer))\n"
-        ),
-    })
-    report = lint_project(project, BOUNDARY)
-    assert report.diagnostics == []
-
-
-# -- pass 3: determinism ----------------------------------------------------
+# -- pass 2: determinism ----------------------------------------------------
 
 
 def det_config(name: str) -> LintConfig:
@@ -131,7 +99,7 @@ def test_determinism_exempt_prefix():
     assert codes == set()
 
 
-# -- pass 4: ambient-state discipline --------------------------------------
+# -- pass 3: ambient-state discipline --------------------------------------
 
 
 def ambient_config(name: str) -> LintConfig:
@@ -143,7 +111,7 @@ def test_ambient_violation_detected():
     codes, _ = run_fixture(
         "ambient_violation", ambient_config("ambient_violation")
     )
-    assert codes == {"AQ530", "AQ531"}
+    assert codes == {"AQ530"}
 
 
 def test_ambient_clean_fixture_passes():
@@ -157,7 +125,6 @@ def test_sanctioned_points_are_not_flagged():
     config = LintConfig(
         worker_roots=("fix.ambient_violation:worker_entry",),
         sanctioned_installers=("fix.ambient_violation:worker_entry",),
-        sanctioned_repatriation=("fix.ambient_violation:worker_entry",),
         passes=("ambient",),
     )
     codes, _ = run_fixture("ambient_violation", config)
@@ -262,5 +229,5 @@ def test_cli_lint_json(capsys):
     assert doc["ok"] is True
     assert doc["diagnostics"] == []
     assert set(doc["passes"]) == {
-        "races", "boundary", "determinism", "ambient",
+        "races", "determinism", "ambient",
     }

@@ -3,12 +3,14 @@
 The bit-for-bit differential against the monolithic engine lives in
 ``test_morsel_differential.py``; this file covers the pieces in
 isolation — span arithmetic, which plans are (and are not) streamable,
-channel striping, and per-morsel page accounting.
+channel striping, per-morsel page accounting, and per-fragment LIKE
+matching.
 """
 
 import numpy as np
 import pytest
 
+from repro.engine import Engine
 from repro.engine.morsel import (
     DEFAULT_MORSEL_ROWS,
     MORSEL_ALIGN_ROWS,
@@ -20,7 +22,7 @@ from repro.engine.morsel import (
 from repro.flash import ChannelMeter
 from repro.flash.nand import FlashConfig
 from repro.sqlir import AggFunc, col, lit, scan
-from repro.sqlir.expr import ScalarSubquery
+from repro.sqlir.expr import Like, ScalarSubquery
 from repro.sqlir.plan import Scan
 from repro.storage.layout import PAGE_BYTES, FlashLayout
 
@@ -223,3 +225,50 @@ class TestSpanReads:
         reads.rows("l_orderkey", np.array([3], dtype=np.int64))
         pages_read, pages_total, _ = reads.summary()
         assert pages_read["l_orderkey"] == pages_total["l_orderkey"]
+
+
+class TestFragmentLikeMasks:
+    """Each LIKE is matched once per unique heap string per fragment."""
+
+    @staticmethod
+    def _count_matches(monkeypatch):
+        calls = [0]
+        compile_regex = Like.regex
+
+        class Counting:
+            def __init__(self, regex):
+                self.regex = regex
+
+            def match(self, text):
+                calls[0] += 1
+                return self.regex.match(text)
+
+        monkeypatch.setattr(
+            Like, "regex", lambda self: Counting(compile_regex(self))
+        )
+        return calls
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_one_pattern_pass_per_fragment(
+        self, small_db, monkeypatch, backend
+    ):
+        plan = (
+            scan("lineitem", ("l_quantity", "l_comment"))
+            .filter(Like(col("l_comment"), "%furious%", negated=True))
+            .aggregate(aggs=[("qty", AggFunc.SUM, col("l_quantity"))])
+            .plan
+        )
+        config = MorselConfig(
+            morsel_rows=MORSEL_ALIGN_ROWS, n_workers=2,
+            worker_backend=backend,
+        )
+        lineitem = small_db.table("lineitem")
+        assert len(config.spans_for(lineitem.nrows)) >= 4
+        expected = Engine(small_db).execute_relation(plan)
+
+        calls = self._count_matches(monkeypatch)
+        out = Engine(small_db, morsels=config).execute_relation(plan)
+        assert calls[0] == lineitem.column("l_comment").heap.unique_count
+        assert np.array_equal(
+            out.column("qty").values, expected.column("qty").values
+        )

@@ -1,16 +1,12 @@
-"""Process-based morsel execution: pools, zero-copy reopen, parity.
+"""The shared morsel thread pool: parity, fault determinism, sharing.
 
-The process backend's contract is that it is *invisible* except for
-speed: all 22 TPC-H queries bit-identical to the serial and thread
-backends, fault campaigns reproducing the exact same counters and
-events (placement is pure ``(seed, site)``), worker span records
-landing in the parent tracer's lanes, and a worker killed mid-run
-degrading to inline re-execution without changing a single output bit.
+The pool's contract is that it is *invisible* except for speed: all 22
+TPC-H queries bit-identical to the serial backend, and fault campaigns
+reproducing the exact same counters and events whatever the worker
+count (placement is pure ``(seed, site)``).
 """
 
 import gc
-import os
-import signal
 import weakref
 
 import numpy as np
@@ -27,12 +23,6 @@ from repro.engine.morsel import (
 from repro.faults.errors import UnrecoverableFault
 from repro.faults.injector import FaultInjector, set_fault_injector
 from repro.faults.plan import FaultConfig, FaultPlan
-from repro.obs.spans import Tracer
-
-pytestmark = pytest.mark.skipif(
-    not procpool.process_backend_available(),
-    reason="no fork start method on this platform",
-)
 
 CHAOS = FaultConfig(
     page_error_rate=0.02,
@@ -66,7 +56,7 @@ def assert_identical(a, b):
 
 
 class TestBackendDifferential:
-    """All 22 queries bit-identical across serial / thread / process."""
+    """All 22 queries bit-identical across serial and thread."""
 
     @pytest.fixture(scope="class")
     def serial(self, small_db):
@@ -75,25 +65,16 @@ class TestBackendDifferential:
             for n in tpch.ALL_QUERIES
         }
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["thread"])
     @pytest.mark.parametrize("n", sorted(tpch.ALL_QUERIES))
     def test_query(self, small_db, serial, n, backend):
         out = _engine(small_db, backend).execute_relation(tpch.query(n))
         assert_identical(out, serial[n])
 
-    def test_string_heaps_reattach_to_parent_catalog(self, small_db):
-        # q1 groups by two CHAR columns; the partials cross the process
-        # boundary as heap *tokens* and must come back wearing the
-        # parent's own heap objects, not worker copies.
-        out = _engine(small_db, "process").execute_relation(tpch.query(1))
-        table = small_db.table("lineitem")
-        assert out.column("l_returnflag").heap is (
-            table.column("l_returnflag").heap
-        )
-
 
 class TestFaultDeterminism:
-    """(seed, site) placement makes chaos identical across backends."""
+    """(seed, site) placement makes chaos identical across backends
+    and worker counts."""
 
     def _run(self, db, backend, seed, workers=4, query=6):
         injector = FaultInjector(FaultPlan(seed, CHAOS))
@@ -109,15 +90,16 @@ class TestFaultDeterminism:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_summary_and_events_match_thread(self, small_db, seed):
         thread_out, thread_inj = self._run(small_db, "thread", seed)
-        proc_out, proc_inj = self._run(small_db, "process", seed)
-        assert proc_inj.summary() == thread_inj.summary()
-        assert proc_inj.sorted_events() == thread_inj.sorted_events()
-        assert_identical(proc_out, thread_out)
+        serial_out, serial_inj = self._run(small_db, "serial", seed)
+        assert serial_inj.summary() == thread_inj.summary()
+        assert serial_inj.sorted_events() == thread_inj.sorted_events()
+        assert_identical(serial_out, thread_out)
 
     def test_worker_count_does_not_move_faults(self, small_db):
-        _, one = self._run(small_db, "process", 3, workers=1)
-        _, four = self._run(small_db, "process", 3, workers=4)
+        _, one = self._run(small_db, "thread", 3, workers=1)
+        _, four = self._run(small_db, "thread", 3, workers=4)
         assert one.summary() == four.summary()
+        assert one.sorted_events() == four.sorted_events()
 
     def test_budget_exhaustion_raises_through_the_pool(self, small_db):
         config = FaultConfig(worker_crash_rate=1.0, retry_budget=2)
@@ -125,14 +107,14 @@ class TestFaultDeterminism:
         set_fault_injector(injector)
         try:
             with pytest.raises(UnrecoverableFault) as exc:
-                _engine(small_db, "process", workers=4).execute_relation(
+                _engine(small_db, "thread", workers=4).execute_relation(
                     tpch.query(6)
                 )
         finally:
             set_fault_injector(None)
         assert exc.value.site.startswith("morsel/lineitem/")
-        # every span still charged its crashes before the raise, same
-        # as the thread pool's submit-everything semantics
+        # every span still charged its crashes before the raise: the
+        # pool runs every submitted span before re-raising
         assert injector.counts["worker_crashes"] > 0
         assert injector.counts["morsel_retries"] > 0
 
@@ -143,40 +125,13 @@ class TestFaultDeterminism:
             backend: run_campaign(
                 [6, 14], [0, 1], CHAOS, sf=0.01, backend=backend
             )
-            for backend in ("thread", "process")
+            for backend in ("serial", "thread")
         }
+        assert reports["serial"]["backend"] == "serial"
         assert reports["thread"]["backend"] == "thread"
-        assert reports["process"]["backend"] == "process"
-        for t, p in zip(reports["thread"]["runs"],
-                        reports["process"]["runs"]):
-            assert t == p
-
-
-class TestWorkerDeath:
-    """A killed worker degrades to inline re-runs, bit-identically."""
-
-    def test_result_survives_a_dead_worker(self, small_db):
-        ref = _engine(small_db, "serial").execute_relation(tpch.query(6))
-        pool = procpool.get_process_pool(small_db, 2)
-        assert pool is not None and pool.alive_count() == 2
-        victim = pool.workers[0]
-        os.kill(victim.proc.pid, signal.SIGKILL)
-        victim.proc.join(timeout=5.0)
-        out = _engine(small_db, "process").execute_relation(tpch.query(6))
-        assert_identical(out, ref)
-
-    def test_fully_dead_pool_is_replaced(self, small_db):
-        pool = procpool.get_process_pool(small_db, 2)
-        for worker in pool.workers:
-            if worker.proc.is_alive():
-                os.kill(worker.proc.pid, signal.SIGKILL)
-            worker.proc.join(timeout=5.0)
-        fresh = procpool.get_process_pool(small_db, 2)
-        assert fresh is not pool
-        assert fresh.alive_count() == 2
-        ref = _engine(small_db, "serial").execute_relation(tpch.query(6))
-        out = _engine(small_db, "process").execute_relation(tpch.query(6))
-        assert_identical(out, ref)
+        for s, t in zip(reports["serial"]["runs"],
+                        reports["thread"]["runs"]):
+            assert s == t
 
 
 class TestSpanClamp:
@@ -209,76 +164,15 @@ class TestSpanClamp:
         assert TUNED_MORSEL_ROWS % MORSEL_ALIGN_ROWS == 0
 
 
-class TestBatching:
-    def test_batches_partition_in_order(self):
-        spans = [(k, k + 1) for k in range(37)]
-        batches = procpool.make_batches(spans, 4)
-        assert [s for b in batches for s in b] == spans
-        assert all(batches)
-
-    def test_small_fanout_stays_one_span_per_batch(self):
-        spans = [(0, 1), (1, 2)]
-        assert procpool.make_batches(spans, 4) == [[(0, 1)], [(1, 2)]]
-
-
-class TestReopenMappedColumns:
-    def test_roundtrip_and_reopen(self, tmp_path, tiny_db):
-        from repro.storage.io import (
-            load_catalog,
-            reopen_mapped_columns,
-            save_catalog,
-        )
-
-        save_catalog(tiny_db, tmp_path)
-        loaded = load_catalog(tmp_path)
-        column = loaded.table("lineitem").column("l_quantity")
-        assert column.is_mapped and column.source_path is not None
-        before = np.array(column.values[:64])
-        reopened = reopen_mapped_columns(loaded)
-        assert reopened > 0
-        column = loaded.table("lineitem").column("l_quantity")
-        assert column.is_mapped
-        assert np.array_equal(column.values[:64], before)
-
-    def test_in_memory_catalog_is_untouched(self, tiny_db):
-        from repro.storage.io import reopen_mapped_columns
-
-        assert reopen_mapped_columns(tiny_db) == 0
-
-    def test_disk_catalog_through_process_backend(self, tmp_path, tiny_db):
+class TestMappedCatalog:
+    def test_disk_catalog_through_thread_backend(self, tmp_path, tiny_db):
         from repro.storage.io import load_catalog, save_catalog
 
         save_catalog(tiny_db, tmp_path)
         loaded = load_catalog(tmp_path)
         ref = _engine(loaded, "serial").execute_relation(tpch.query(6))
-        out = _engine(loaded, "process").execute_relation(tpch.query(6))
+        out = _engine(loaded, "thread").execute_relation(tpch.query(6))
         assert_identical(out, ref)
-
-
-class TestTracerAdoption:
-    def test_worker_lanes_reach_the_parent_tracer(self, small_db):
-        tracer = Tracer()
-        _engine(small_db, "process", tracer=tracer).execute_relation(
-            tpch.query(6)
-        )
-        lanes = {thread for thread, _ in tracer.records()}
-        assert any(lane.startswith("proc-worker-") for lane in lanes)
-        span_names = {
-            rec[0]
-            for thread, rec in tracer.records()
-            if thread.startswith("proc-worker-")
-        }
-        assert "morsel.span" in span_names
-
-    def test_adopt_appends_under_one_lane(self):
-        tracer = Tracer()
-        tracer.adopt("proc-worker-0", [("a", None, 0, 5, 0, 5, None)])
-        tracer.adopt("proc-worker-0", [("b", None, 5, 5, 0, 5, None)])
-        records = [
-            rec for thread, rec in tracer.records()
-            if thread == "proc-worker-0"
-        ]
-        assert [r[0] for r in records] == ["a", "b"]
 
 
 class TestThreadPoolSharing:

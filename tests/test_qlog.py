@@ -1,9 +1,9 @@
 """Query-lifecycle wide events: ids, scopes, sampling, tracediff.
 
 The contract under test: every span and fault instant a query produces
-carries that query's ``qid`` — across serial / thread / process
-backends, through a SIGKILL'd worker's inline re-run, and through the
-device-fault host fallback — and each query's wide event reports only
+carries that query's ``qid`` — across the serial and thread backends,
+through injected worker-crash re-runs, and through the device-fault
+host fallback — and each query's wide event reports only
 its own metric movement (no cross-query bleed), validates against the
 checked-in JSON schema, and feeds ``repro tracediff`` attribution that
 reconciles with the measured deltas.
@@ -11,19 +11,16 @@ reconciles with the measured deltas.
 
 import json
 import os
-import signal
 
 import pytest
 
 from repro import tpch
 from repro.core import AquomanSimulator, DeviceConfig
 from repro.engine import Engine, MorselConfig
-from repro.engine import procpool
 from repro.faults.injector import FaultInjector, set_fault_injector
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.obs import MetricsRegistry, Tracer, set_global_tracer
 from repro.obs.context import (
-    QueryContext,
     next_query_id,
     plan_fingerprint,
     sql_digest,
@@ -44,9 +41,7 @@ CHAOS = FaultConfig(
     channel_stall_rate=0.25,
 )
 
-BACKENDS = ["serial", "thread"] + (
-    ["process"] if procpool.process_backend_available() else []
-)
+BACKENDS = ["serial", "thread"]
 
 
 @pytest.fixture()
@@ -78,13 +73,6 @@ def _engine(db, backend, tracer=None, workers=2):
 
 
 class TestQueryContext:
-    def test_wire_roundtrip(self):
-        ctx = QueryContext(
-            query_id=7, query="q06", fingerprint="abc123",
-            backend="process", seed=3,
-        )
-        assert QueryContext.from_wire(ctx.to_wire()) == ctx
-
     def test_ids_are_monotonic(self):
         first = next_query_id()
         assert next_query_id() == first + 1
@@ -241,32 +229,6 @@ class TestQidPropagation:
             rec[6].get("qid") == event["query_id"] for rec in instants
         )
         assert event["faults"]["counts"]["page_errors"] > 0
-
-    @pytest.mark.skipif(
-        not procpool.process_backend_available(),
-        reason="no fork start method on this platform",
-    )
-    def test_dead_worker_inline_rerun_keeps_the_qid(
-        self, small_db, qlog
-    ):
-        pool = procpool.get_process_pool(small_db, 2)
-        victim = pool.workers[0]
-        os.kill(victim.proc.pid, signal.SIGKILL)
-        victim.proc.join(timeout=5.0)
-        tracer = Tracer()
-        set_global_tracer(tracer)
-        try:
-            _engine(
-                small_db, "process", tracer=tracer
-            ).execute_relation(tpch.query(6))
-        finally:
-            set_global_tracer(None)
-        event = _events(qlog)[0]
-        unstamped = [
-            rec[0] for _thread, rec in tracer.records()
-            if (rec[6] or {}).get("qid") != event["query_id"]
-        ]
-        assert unstamped == []
 
     def test_device_fault_fallback_keeps_the_qid(self, small_db, qlog):
         tracer = Tracer()
@@ -563,20 +525,16 @@ class TestTraceDiff:
         assert diff.regressions
 
 
-class TestThreadVsProcessAttribution:
+class TestSerialVsThreadAttribution:
     """Acceptance: per-bucket deltas reconcile with measured wall."""
 
-    @pytest.mark.skipif(
-        not procpool.process_backend_available(),
-        reason="no fork start method on this platform",
-    )
     def test_attributed_delta_matches_path_delta(
         self, small_db, tmp_path
     ):
         from repro.obs.tracediff import diff_runs, load_wide_events
 
         logs = {}
-        for backend in ("thread", "process"):
+        for backend in ("serial", "thread"):
             log = QueryLog(str(tmp_path / f"{backend}.jsonl"))
             set_query_log(log)
             try:
@@ -590,8 +548,8 @@ class TestThreadVsProcessAttribution:
                 log.close()
             logs[backend] = log.path
         diff = diff_runs(
+            load_wide_events(logs["serial"]),
             load_wide_events(logs["thread"]),
-            load_wide_events(logs["process"]),
         )
         assert len(diff.entries) == 2
         for entry in diff.entries:
