@@ -147,9 +147,7 @@ class DeviceExecutor:
         if rowids is None or len(rowids) == nrows:
             mask = None
         else:
-            mask = BitVector.from_indices(
-                np.unique(rowids.astype(np.int64)), nrows
-            )
+            mask = BitVector.from_indices(rowids, nrows)
         self.device.charge_column_read(table, base_column, mask)
         dev.charged.add(origin)
 
@@ -449,15 +447,12 @@ class DeviceExecutor:
         if len(left_rowids) == base.nrows:
             mask = None
         else:
-            mask = BitVector.from_indices(np.unique(left_rowids),
-                                          base.nrows)
+            mask = BitVector.from_indices(left_rowids, base.nrows)
         self.device.charge_column_read(fk_table, index_column, mask)
         right_rowids = base.column(index_column).values[left_rowids]
 
         columns = dict(left.relation.columns)
-        gather_mask = BitVector.from_indices(
-            np.unique(right_rowids), ref_nrows
-        )
+        gather_mask = BitVector.from_indices(right_rowids, ref_nrows)
         ref = self.catalog.table(fk.ref_table)
         origin = dict(left.origin)
         charged = left.charged | right.charged

@@ -321,48 +321,49 @@ def _apply_step(step: Plan, rel: Relation, like_masks: dict) -> Relation:
 
 
 class _SpanReads:
-    """Per-morsel page accounting: which pages of which columns we read."""
+    """Per-morsel page accounting: which pages of which columns we read.
 
-    _FULL = None  # sentinel: whole span streamed
+    Each column keeps one boolean mask over the span's pages. A streamed
+    column sets all of it; a gather scatters ``rowids // rows_per_page``
+    into it, so row ids may come unsorted and duplicated, across any
+    number of calls.
+    """
 
     def __init__(self, layout: FlashLayout, table: str, lo: int, hi: int):
         self.layout = layout
         self.table = table
         self.lo = lo
         self.hi = hi
-        self._touched: dict[str, np.ndarray | None] = {}
+        self._touched: dict[str, np.ndarray] = {}
+
+    def _mask(self, column: str) -> tuple[np.ndarray, int, int]:
+        """(page mask, rows per page, first span page) of a column."""
+        per_page = self.layout.extent(self.table, column).rows_per_page()
+        span_lo = self.lo // per_page
+        mask = self._touched.get(column)
+        if mask is None:
+            n_pages = -(-self.hi // per_page) - span_lo
+            mask = self._touched[column] = np.zeros(n_pages, dtype=np.bool_)
+        return mask, per_page, span_lo
 
     def full(self, column: str) -> None:
-        self._touched[column] = self._FULL
+        self._mask(column)[0][:] = True
 
     def rows(self, column: str, rowids: np.ndarray) -> None:
         """Charge the pages holding the given global row ids."""
-        if column in self._touched and self._touched[column] is self._FULL:
-            return
-        ext = self.layout.extent(self.table, column)
-        pages = np.unique(rowids // ext.rows_per_page())
-        prev = self._touched.get(column)
-        self._touched[column] = (
-            pages if prev is None else np.union1d(prev, pages)
-        )
+        mask, per_page, span_lo = self._mask(column)
+        mask[rowids // per_page - span_lo] = True
 
     def summary(self):
         """(pages_read, pages_total, global page ids) for this span."""
         pages_read: dict[str, int] = {}
         pages_total: dict[str, int] = {}
         ids: list[np.ndarray] = []
-        for column, touched in self._touched.items():
+        for column, mask in self._touched.items():
             ext = self.layout.extent(self.table, column)
-            per_page = ext.rows_per_page()
-            span_lo = self.lo // per_page
-            span_hi = -(-self.hi // per_page)
-            pages = (
-                np.arange(span_lo, span_hi, dtype=np.int64)
-                if touched is self._FULL
-                else touched
-            )
+            pages = self.lo // ext.rows_per_page() + np.flatnonzero(mask)
             pages_read[column] = len(pages)
-            pages_total[column] = span_hi - span_lo
+            pages_total[column] = len(mask)
             ids.append(ext.first_page + pages)
         page_ids = (
             np.concatenate(ids) if ids else np.empty(0, dtype=np.int64)

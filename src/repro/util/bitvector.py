@@ -37,9 +37,18 @@ class BitVector:
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> "BitVector":
-        """Vector of length ``n`` with exactly the given positions set."""
+        """Vector of length ``n`` with exactly the given positions set.
+
+        One scatter, O(len(indices)): an integer ndarray is used as is,
+        unsorted and with duplicates (a bit set twice is still set).
+        Indices are range-checked: a negative one would otherwise wrap
+        round to the end of the vector.
+        """
         bits = np.zeros(n, dtype=np.bool_)
-        idx = np.fromiter(indices, dtype=np.int64)
+        idx = (
+            indices if isinstance(indices, np.ndarray)
+            else np.fromiter(indices, dtype=np.int64)
+        )
         if idx.size:
             if idx.min() < 0 or idx.max() >= n:
                 raise IndexError("bit index out of range")

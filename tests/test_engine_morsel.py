@@ -9,6 +9,8 @@ matching.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Engine
 from repro.engine.morsel import (
@@ -197,7 +199,7 @@ class TestChannelMeter:
 
 
 class TestSpanReads:
-    @pytest.fixture()
+    @pytest.fixture(scope="class")
     def layout(self, tiny_db):
         return FlashLayout(tiny_db)
 
@@ -225,6 +227,30 @@ class TestSpanReads:
         reads.rows("l_orderkey", np.array([3], dtype=np.int64))
         pages_read, pages_total, _ = reads.summary()
         assert pages_read["l_orderkey"] == pages_total["l_orderkey"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_two_gathers_match_sorted_page_union(self, tiny_db, layout, data):
+        # Unsorted, duplicated row ids over any (unaligned) span must
+        # charge exactly the sorted union of the pages they land on.
+        nrows = tiny_db.table("lineitem").nrows
+        lo = data.draw(st.integers(0, nrows - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, nrows), label="hi")
+        ids = st.lists(st.integers(lo, hi - 1), max_size=80)
+        a = np.array(data.draw(ids, label="a"), dtype=np.int64)
+        b = np.array(data.draw(ids, label="b"), dtype=np.int64)
+        ext = layout.extent("lineitem", "l_extendedprice")
+        pp = ext.rows_per_page()
+
+        reads = _SpanReads(layout, "lineitem", lo, hi)
+        reads.rows("l_extendedprice", a)
+        reads.rows("l_extendedprice", b)
+        pages_read, _, page_ids = reads.summary()
+
+        ref = np.union1d(np.unique(a // pp), np.unique(b // pp))
+        assert pages_read == {"l_extendedprice": len(ref)}
+        np.testing.assert_array_equal(page_ids, ext.first_page + ref)
+        assert np.all(np.diff(page_ids) > 0)
 
 
 class TestFragmentLikeMasks:

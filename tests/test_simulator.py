@@ -5,13 +5,22 @@ TPC-H query, hybrid device+host execution returns *bit-identical*
 results to the pure-software baseline.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import tpch
 from repro.core import AquomanSimulator, DeviceConfig
 from repro.core.compiler import SuspendReason
+from repro.core.device import AquomanDevice
+from repro.core.simulator import DeviceExecutor, _DeviceRel
 from repro.engine import Engine
+from repro.engine.morsel import MorselConfig
+from repro.engine.relation import Relation
+from repro.perf.trace import QueryTrace
 from repro.sqlir import AggFunc, col, lit_date, scan
+from repro.storage.layout import PAGE_BYTES
 from repro.util.units import GB, MB
 
 SF1000_RATIO = 1000 / 0.01
@@ -159,3 +168,75 @@ class TestSuspensionRollback:
         # traffic must appear in host reads, not double-billed.
         assert SuspendReason.DRAM_EXCEEDED in result.suspend_reasons
         assert result.trace.total_flash_bytes > 0
+
+
+class TestMeteringInvariance:
+    """Page metering depends on the set of row ids, not their order."""
+
+    @staticmethod
+    def _charged(db, rowids):
+        executor = DeviceExecutor(AquomanDevice(db), scalar_executor=None)
+        dev = _DeviceRel(
+            relation=Relation({}),
+            rowid_map={"lineitem": rowids},
+            origin={"v": ("lineitem", "l_extendedprice")},
+            charged=set(),
+        )
+        executor._consume(dev, "v")
+        return executor.device.meters.flash_bytes
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # tiny_db holds ~6k lineitems: every id is in range, and 80 ids
+        # never cover the whole table (which would charge it unmasked).
+        ids=st.lists(st.integers(0, 5_000), min_size=1, max_size=80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_consume_ignores_order_and_duplicates(self, tiny_db, ids, seed):
+        ids = np.array(ids, dtype=np.int64)
+        unique = np.unique(ids)
+        shuffled = np.random.default_rng(seed).permutation(
+            np.concatenate([ids, ids[::2]])
+        )
+        per_page = AquomanDevice(tiny_db).layout.extent(
+            "lineitem", "l_extendedprice"
+        ).rows_per_page()
+        expected = len(np.unique(unique // per_page)) * PAGE_BYTES
+        assert self._charged(tiny_db, unique) == expected
+        assert self._charged(tiny_db, shuffled) == expected
+
+
+# Per-query modeled flash bytes on the ``small_db`` catalog (SF 0.01,
+# default seed).  They depend only on which pages the row ids touch, so
+# a wrong row-id -> page mask fails here by query name.
+SIM_FLASH_BYTES = {
+    1: 2670592, 2: 458752, 3: 1966080, 4: 1228800, 5: 1687552,
+    6: 1695744, 7: 1671168, 8: 1523712, 9: 40960, 10: 2039808,
+    11: 393216, 12: 1654784, 13: 0, 14: 1712128, 15: 1458176,
+    16: 32768, 17: 991232, 18: 966656, 19: 1507328, 20: 1269760,
+    21: 3399680, 22: 0,
+}
+MORSEL_FLASH_BYTES = {
+    1: 2634280, 2: 295080, 3: 1988360, 4: 1197920, 5: 1929500,
+    6: 1676360, 7: 2109040, 8: 2185080, 9: 2719800, 10: 1964560,
+    11: 322000, 12: 1616880, 13: 246000, 14: 1452880, 15: 2875360,
+    16: 96800, 17: 1939840, 18: 2287840, 19: 2187320, 20: 1311200,
+    21: 3294640, 22: 108000,
+}
+
+
+class TestMeteringPins:
+    @pytest.mark.parametrize("number", tpch.ALL_QUERIES)
+    def test_simulator_flash_bytes(self, small_db, config, number):
+        result = AquomanSimulator(small_db, config).run(
+            tpch.query(number), query=f"q{number:02d}"
+        )
+        assert result.trace.aquoman_flash_bytes == SIM_FLASH_BYTES[number]
+
+    @pytest.mark.parametrize("number", tpch.ALL_QUERIES)
+    def test_morsel_flash_bytes(self, small_db, number):
+        trace = QueryTrace()
+        Engine(
+            small_db, trace, morsels=MorselConfig(n_workers=2)
+        ).execute_relation(tpch.query(number))
+        assert trace.total_flash_bytes == MORSEL_FLASH_BYTES[number]

@@ -37,6 +37,29 @@ class TestConstruction:
         with pytest.raises(IndexError):
             BitVector.from_indices([9], 4)
 
+    def test_from_indices_unsorted_duplicated_ndarray(self):
+        idx = np.array([7, 1, 7, 3, 1, 1, 0], dtype=np.int64)
+        bv = BitVector.from_indices(idx, 8)
+        assert bv.indices().tolist() == [0, 1, 3, 7]
+
+    def test_from_indices_int32_ndarray(self):
+        bv = BitVector.from_indices(np.array([5, 2], dtype=np.int32), 6)
+        assert bv.indices().tolist() == [2, 5]
+
+    def test_from_indices_negative_ndarray_raises(self):
+        # A scatter would wrap -1 round to the last bit; the range
+        # check must catch it instead.
+        with pytest.raises(IndexError):
+            BitVector.from_indices(np.array([2, -1], dtype=np.int64), 4)
+
+    def test_from_indices_out_of_range_ndarray_raises(self):
+        with pytest.raises(IndexError):
+            BitVector.from_indices(np.array([0, 4], dtype=np.int64), 4)
+
+    def test_from_indices_generator(self):
+        bv = BitVector.from_indices((i * 2 for i in range(3)), 6)
+        assert bv.indices().tolist() == [0, 2, 4]
+
     def test_nonbool_array_coerced(self):
         bv = BitVector(np.array([0, 1, 2]))
         assert bv.count() == 2
