@@ -29,15 +29,7 @@ def explain(db, number: int) -> None:
 
     print(f"\n=== {name} ({tpch.query_name(number)}) ===")
     print("plan and per-node offload decisions:")
-    for node in plan.walk():
-        decision = compiled.decision(node)
-        verdict = "DEVICE" if decision.offloadable else "host  "
-        extra = (
-            f"  <- {decision.reason.value}"
-            if not decision.offloadable
-            else ""
-        )
-        print(f"  [{verdict}] {node!r}{extra}")
+    print(compiled.explain())
 
     roots = compiled.offload_roots()
     print(f"offload roots: {len(roots)}")

@@ -72,7 +72,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.perf.trace import QueryTrace
-from repro.sqlir import plan_sql
+from repro.sqlir import PlanningError, SqlSyntaxError, plan_sql
 from repro.util.units import GB, fmt_bytes
 
 
@@ -118,11 +118,17 @@ def _add_query_log(parser: argparse.ArgumentParser) -> None:
 
 
 def _plan_of(args, db):
-    if args.sql is not None:
-        return plan_sql(args.sql, db)
-    if args.number is None:
-        raise SystemExit("give a TPC-H query number or --sql")
-    return tpch.query(args.number)
+    """The plan ``args`` names. A query that cannot be planned ends the
+    command with one ``error:`` line on stderr and exit code 2."""
+    try:
+        if args.sql is not None:
+            return plan_sql(args.sql, db)
+        if args.number is None:
+            raise PlanningError("give a TPC-H query number or --sql")
+        return tpch.query(args.number)
+    except (SqlSyntaxError, PlanningError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _query_name(args) -> str:
@@ -327,13 +333,7 @@ def cmd_explain(args) -> int:
     db = tpch.generate(args.sf)
     plan = _plan_of(args, db)
     compiler = QueryCompiler(db, scale_ratio=args.target_sf / args.sf)
-    compiled = compiler.compile(plan)
-    for node in plan.walk():
-        decision = compiled.decision(node)
-        marker = "DEVICE" if decision.offloadable else "host  "
-        note = f"  <- {decision.reason.value}" if not decision.offloadable \
-            else ""
-        print(f"[{marker}] {node!r}{note}")
+    print(compiler.compile(plan).explain())
     return 0
 
 

@@ -21,9 +21,11 @@ executes a single row:
 
 Layering: this package imports ``sqlir``, ``storage`` and ``core``
 compile-time modules only — never ``repro.engine`` or the simulator.
-The engine and simulator import *us* (``engine.morsel`` for merge
-verdicts, ``core.simulator`` for :func:`subtree_reduces`), so any
-import in the other direction would cycle.
+The engine imports *us* (``engine.morsel`` for merge verdicts), so any
+import in the other direction would cycle. Nothing under ``core``
+imports this package: the offload decision, its policy half included,
+lives in :mod:`repro.core.compiler`, and the ``suspend`` pass reads the
+compiled offload roots rather than re-deriving them.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from repro.analysis.suspend import (
     SuspendPrediction,
     SuspendPredictor,
     Verdict,
-    subtree_reduces,
 )
 from repro.analysis.typecheck import (
     ColumnMeta,
@@ -94,7 +95,6 @@ __all__ = [
     "node_schemas",
     "scan_schema",
     "streamable_chain",
-    "subtree_reduces",
     "verify_instructions",
     "verify_program",
     "verify_transform_graph",

@@ -45,6 +45,7 @@ from repro.core.compiler import (
     CompiledQuery,
     QueryCompiler,
     SuspendReason,
+    column_lineage,
 )
 from repro.core.swissknife.groupby import (
     HASH_BUCKETS,
@@ -70,7 +71,6 @@ __all__ = [
     "Verdict",
     "SuspendPrediction",
     "SuspendPredictor",
-    "subtree_reduces",
     "column_ndv",
 ]
 
@@ -86,16 +86,6 @@ _REASON_CODES = {
     SuspendReason.GROUP_SPILL: "AQ203",
     SuspendReason.DRAM_EXCEEDED: "AQ204",
 }
-
-
-def subtree_reduces(plan: Plan) -> bool:
-    """Worth offloading only if the subtree reduces or transforms data
-    beyond column renames (a bare streamed scan saves the host
-    nothing — the bytes still transit host memory)."""
-    return any(
-        isinstance(node, (Filter, Join, Aggregate, Distinct))
-        for node in plan.walk()
-    )
 
 
 class Verdict(Enum):
@@ -198,7 +188,7 @@ class SuspendPredictor:
         self.config = config
         self.checker = TypeChecker(catalog, collect=False)
         self._cards: dict[int, Card] = {}
-        self._provs: dict[int, dict[str, tuple[str, str]]] = {}
+        self._lineages: dict[int, dict[str, tuple[str, str]]] = {}
 
     # -- public entry ------------------------------------------------------
 
@@ -210,14 +200,7 @@ class SuspendPredictor:
                 self.catalog, scale_ratio=self.config.scale_ratio
             ).compile(plan)
         units = compiled.flatten()
-        roots: set[int] = set()
-        executed_roots: list[Plan] = []
-        for unit in units:
-            for root in unit.offload_roots():
-                roots.add(id(root))
-                decision = unit.decisions[id(root)]
-                if subtree_reduces(root) or decision.stream_for_assist:
-                    executed_roots.append(root)
+        roots = [root for unit in units for root in unit.offload_roots()]
 
         compiled_reasons = compiled.suspend_reasons()
         predictions = {
@@ -228,11 +211,9 @@ class SuspendPredictor:
                 SuspendReason.STRING_HEAP, compiled_reasons, units
             ),
             SuspendReason.GROUP_SPILL.name: self._predict_spill(
-                units, roots, executed_roots
+                units, roots
             ),
-            SuspendReason.DRAM_EXCEEDED.name: self._predict_dram(
-                executed_roots
-            ),
+            SuspendReason.DRAM_EXCEEDED.name: self._predict_dram(roots),
         }
         diagnostics = [
             d
@@ -278,15 +259,13 @@ class SuspendPredictor:
     # -- group spill -------------------------------------------------------
 
     def _predict_spill(
-        self,
-        units: list[CompiledQuery],
-        roots: set[int],
-        executed_roots: list[Plan],
+        self, units: list[CompiledQuery], roots: list[Plan]
     ) -> SuspendPrediction:
         verdicts: list[tuple[Verdict, int, int, str]] = []
+        root_ids = {id(root) for root in roots}
 
         seen: set[int] = set()
-        for root in executed_roots:
+        for root in roots:
             for node in root.walk():
                 if (
                     isinstance(node, Aggregate)
@@ -302,7 +281,7 @@ class SuspendPredictor:
                     isinstance(node, Aggregate)
                     and decision is not None
                     and decision.device_assisted
-                    and id(node.child) in roots
+                    and id(node.child) in root_ids
                     and id(node) not in seen
                 ):
                     seen.add(id(node))
@@ -701,9 +680,7 @@ class SuspendPredictor:
 
     # -- DRAM --------------------------------------------------------------
 
-    def _predict_dram(
-        self, executed_roots: list[Plan]
-    ) -> SuspendPrediction:
+    def _predict_dram(self, roots: list[Plan]) -> SuspendPrediction:
         reason = SuspendReason.DRAM_EXCEEDED
         ratio = self.config.scale_ratio
         capacity = self.config.dram_bytes
@@ -712,7 +689,7 @@ class SuspendPredictor:
         details: list[str] = []
         n_joins = 0
         seen: set[int] = set()
-        for root in executed_roots:
+        for root in roots:
             for node in root.walk():
                 if not isinstance(node, Join) or id(node) in seen:
                     continue
@@ -797,7 +774,9 @@ class SuspendPredictor:
         whether it *could* fire (used to withhold ALWAYS claims)."""
         if node.kind is not JoinKind.INNER or node.residual is not None:
             return False
-        source = self._device_origin(node.left).get(node.left_key)
+        source = column_lineage(
+            self.catalog, node.left, self._lineages
+        ).get(node.left_key)
         if source is None:
             return False
         fk = self.catalog.foreign_key_for(*source)
@@ -806,7 +785,9 @@ class SuspendPredictor:
         whole = self._whole_scan(node.right, allow_filter=not certain)
         if whole != fk.ref_table:
             return False
-        right_origin = self._device_origin(node.right)
+        right_origin = column_lineage(
+            self.catalog, node.right, self._lineages
+        )
         if right_origin.get(node.right_key) != (
             fk.ref_table,
             fk.ref_column,
@@ -817,42 +798,3 @@ class SuspendPredictor:
         return all(
             origin[0] == fk.ref_table for origin in right_origin.values()
         )
-
-    def _device_origin(self, node: Plan) -> dict[str, tuple[str, str]]:
-        """Mirror of the device executor's origin propagation."""
-        cached = self._provs.get(id(node))
-        if cached is not None:
-            return cached
-        origin: dict[str, tuple[str, str]]
-        if isinstance(node, Scan):
-            table = self._table(node.table)
-            if table is None:
-                origin = {}
-            else:
-                names = (
-                    node.columns
-                    if node.columns is not None
-                    else tuple(table.column_names)
-                )
-                origin = {
-                    n: (node.table, n)
-                    for n in names
-                    if table.has_column(n)
-                }
-        elif isinstance(node, (Filter, Sort, Limit)):
-            origin = self._device_origin(node.child)
-        elif isinstance(node, Project):
-            child = self._device_origin(node.child)
-            origin = {
-                name: child[expr.name]
-                for name, expr in node.outputs
-                if isinstance(expr, ColumnRef) and expr.name in child
-            }
-        elif isinstance(node, Join):
-            origin = dict(self._device_origin(node.left))
-            if node.kind not in (JoinKind.SEMI, JoinKind.ANTI):
-                origin.update(self._device_origin(node.right))
-        else:  # Aggregate / Distinct outputs are device-materialised
-            origin = {}
-        self._provs[id(node)] = origin
-        return origin

@@ -16,17 +16,25 @@ pipeline can execute it, and why not when it can't:
 4. **DRAM exceeded** — join intermediates over device capacity;
    detected at execution, the subtree re-runs on the host.
 
-Each offload root marks a subtree the device runs as the paper's
-Table Tasks (Sec. V, Fig. 5): the simulator's ``DeviceExecutor`` drives
-that subtree through the Row Selector, the PE array and the Swissknife
-component by component, chaining join intermediates through device
-DRAM.
+Capability alone does not put a subtree on the device: after the
+bottom-up pass, ``compile`` marks host every node of a maximal
+offloadable subtree that neither reduces (no Filter, Join, Aggregate or
+Distinct inside) nor streams for a device-assisted aggregate. Such a
+bare column stream saves the host nothing — the bytes still transit
+host memory. So each :meth:`CompiledQuery.offload_roots` subtree is
+exactly one set of the paper's Table Tasks (Sec. V, Fig. 5) that the
+simulator's ``DeviceExecutor`` drives through the Row Selector, the PE
+array and the Swissknife, chaining join intermediates through device
+DRAM; the simulator, the suspend predictor and ``repro explain`` read
+that answer instead of re-deriving it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from repro.core.regex_accel import REGEX_CACHE_BYTES
 from repro.sqlir.expr import (
@@ -72,6 +80,8 @@ class SuspendReason(Enum):
     DEVICE_FAULT = "device fault"
 
 
+BARE_STREAM_NOTE = "bare column stream: the host reads it directly"
+
 REAL_SUSPENSIONS = frozenset(
     {
         SuspendReason.MID_PLAN_GROUPBY,
@@ -110,13 +120,20 @@ class CompiledQuery:
     subqueries: list["CompiledQuery"] = field(default_factory=list)
 
     def decision(self, node: Plan) -> OffloadDecision:
-        return self.decisions[id(node)]
+        """The verdict for ``node``, in this unit or a subquery unit."""
+        for unit in self.flatten():
+            found = unit.decisions.get(id(node))
+            if found is not None:
+                return found
+        raise KeyError(f"{node!r} is not part of this compiled query")
 
     def offload_roots(self) -> list[Plan]:
         """Maximal offloadable subtrees, outermost first."""
         roots: list[Plan] = []
 
         def walk(node: Plan, parent_offloaded: bool) -> None:
+            # conc: safe — decision map keyed by node identity, read in
+            # the process that compiled the plan
             mine = self.decisions[id(node)].offloadable
             if mine and not parent_offloaded:
                 roots.append(node)
@@ -133,6 +150,24 @@ class CompiledQuery:
         for sub in self.subqueries:
             units.extend(sub.flatten())
         return units
+
+    def explain(self) -> str:
+        """Per-node decisions of every unit, one line per node: the
+        nodes the device runs read ``[DEVICE]``; the rest read
+        ``[host  ]`` with the reason and, when there is one, the note
+        saying why."""
+        lines: list[str] = []
+        for i, unit in enumerate(self.flatten()):
+            if i:
+                lines.append(f"-- scalar subquery {i} --")
+            for node in unit.plan.walk():
+                d = unit.decisions[id(node)]
+                if d.offloadable:
+                    lines.append(f"[DEVICE] {node!r}")
+                    continue
+                why = d.reason.value + (f" — {d.note}" if d.note else "")
+                lines.append(f"[host  ] {node!r}  <- {why}")
+        return "\n".join(lines)
 
     def suspend_reasons(self) -> set[SuspendReason]:
         reasons = {
@@ -179,51 +214,36 @@ class QueryCompiler:
         decisions: dict[int, OffloadDecision] = {}
         subqueries: list[CompiledQuery] = []
         tail = self._tail_nodes(plan)
-        self._provenance_memo: dict[int, dict[str, tuple[str, str]]] = {}
+        lineage = partial(column_lineage, self.catalog, memo={})
 
         def analyze(node: Plan) -> OffloadDecision:
             for child in node.children():
                 analyze(child)
-            decision = self._decide(node, decisions, tail, subqueries)
+            decision = self._decide(
+                node, decisions, tail, subqueries, lineage
+            )
             # conc: safe — decision map keyed by node identity; plan
             # and decisions stay inside the compiling process
             decisions[id(node)] = decision
             return decision
 
         analyze(plan)
-        return CompiledQuery(plan, decisions, subqueries)
-
-    def _provenance(self, node: Plan) -> dict[str, tuple[str, str]]:
-        """Output column -> (base table, base column), through renames.
-
-        Lets the heap-size rule see through projection aliases (Q7/Q8
-        bind nation names to ``supp_nation``/``cust_nation``).
-        """
-        memo = self._provenance_memo.get(id(node))  # conc: safe — memo
-        if memo is not None:
-            return memo
-        prov: dict[str, tuple[str, str]] = {}
-        if isinstance(node, Scan):
-            table = self.catalog.table(node.table)
-            names = node.columns or tuple(table.column_names)
-            prov = {n: (node.table, n) for n in names}
-        elif isinstance(node, Project):
-            child = self._provenance(node.child)
-            for name, expr in node.outputs:
-                if isinstance(expr, ColumnRef) and expr.name in child:
-                    prov[name] = child[expr.name]
-        elif isinstance(node, Join):
-            prov = dict(self._provenance(node.left))
-            prov.update(self._provenance(node.right))
-        elif isinstance(node, Aggregate):
-            child = self._provenance(node.children()[0])
-            prov = {
-                k: child[k] for k in node.keys if k in child
-            }
-        elif node.children():
-            prov = dict(self._provenance(node.children()[0]))
-        self._provenance_memo[id(node)] = prov  # conc: safe — memo
-        return prov
+        compiled = CompiledQuery(plan, decisions, subqueries)
+        # Policy: a root that reduces nothing and feeds no assisted
+        # aggregate is a bare column stream; the host reads it directly.
+        for root in compiled.offload_roots():
+            # conc: safe — decision map, same process
+            if decisions[id(root)].stream_for_assist or any(
+                isinstance(node, (Filter, Join, Aggregate, Distinct))
+                for node in root.walk()
+            ):
+                continue
+            for node in root.walk():
+                # conc: safe — decision map, same process
+                decisions[id(node)] = OffloadDecision(
+                    False, SuspendReason.UNSUPPORTED_OP, BARE_STREAM_NOTE
+                )
+        return compiled
 
     # -- analysis ----------------------------------------------------------------
 
@@ -248,6 +268,7 @@ class QueryCompiler:
         decisions: dict[int, OffloadDecision],
         tail: set[int],
         subqueries: list[CompiledQuery],
+        lineage: Callable[[Plan], dict[str, tuple[str, str]]],
     ) -> OffloadDecision:
         if isinstance(node, Scan):
             return OffloadDecision(True)
@@ -260,7 +281,7 @@ class QueryCompiler:
                     "filter over a host-resident input",
                 )
             return self._check_expr(
-                node.predicate, subqueries, self._provenance(node.child)
+                node.predicate, subqueries, lineage(node.child)
             )
 
         if isinstance(node, Project):
@@ -270,7 +291,7 @@ class QueryCompiler:
                     False, SuspendReason.UNSUPPORTED_OP,
                     "project over a host-resident input",
                 )
-            prov = self._provenance(node.child)
+            prov = lineage(node.child)
             for _, expr in node.outputs:
                 verdict = self._check_expr(expr, subqueries, prov)
                 if not verdict.offloadable:
@@ -291,8 +312,8 @@ class QueryCompiler:
                     "join input is host-resident",
                 )
             if node.residual is not None:
-                prov = dict(self._provenance(node.left))
-                prov.update(self._provenance(node.right))
+                # the residual sees the matched pair: both sides
+                prov = {**lineage(node.left), **lineage(node.right)}
                 verdict = self._check_expr(node.residual, subqueries, prov)
                 if not verdict.offloadable:
                     return verdict
@@ -302,7 +323,7 @@ class QueryCompiler:
             child_node = node.children()[0]
             child = decisions[id(child_node)]  # conc: safe — decision map
             if isinstance(node, Aggregate):
-                prov = self._provenance(child_node)
+                prov = lineage(child_node)
                 for spec in node.aggregates:
                     if spec.func is AggFunc.COUNT_DISTINCT:
                         return OffloadDecision(
@@ -486,3 +507,50 @@ class QueryCompiler:
             if table.has_column(name):
                 return table.name, table.column(name)
         return None
+
+
+def column_lineage(
+    catalog: Catalog,
+    node: Plan,
+    memo: dict[int, dict[str, tuple[str, str]]],
+) -> dict[str, tuple[str, str]]:
+    """Output column -> (base table, base column), as the device's
+    executor tracks it.
+
+    Scans give their columns; Filter/Sort/Limit pass theirs through;
+    Projects pass ColumnRefs through (renames included — Q7/Q8 bind
+    nation names to ``supp_nation``/``cust_nation``); joins give left
+    plus right, left only for SEMI/ANTI; Aggregate and Distinct outputs
+    are device-materialised and give none. The compiler's heap-size
+    rule and the suspend predictor's join-index check both read it.
+    """
+    cached = memo.get(id(node))  # conc: safe — per-compile memo
+    if cached is not None:
+        return cached
+    lineage: dict[str, tuple[str, str]] = {}
+    if isinstance(node, Scan):
+        table = catalog.tables.get(node.table)
+        if table is not None:
+            names = (
+                node.columns
+                if node.columns is not None
+                else tuple(table.column_names)
+            )
+            lineage = {
+                n: (node.table, n) for n in names if table.has_column(n)
+            }
+    elif isinstance(node, (Filter, Sort, Limit)):
+        lineage = column_lineage(catalog, node.child, memo)
+    elif isinstance(node, Project):
+        child = column_lineage(catalog, node.child, memo)
+        lineage = {
+            name: child[expr.name]
+            for name, expr in node.outputs
+            if isinstance(expr, ColumnRef) and expr.name in child
+        }
+    elif isinstance(node, Join):
+        lineage = dict(column_lineage(catalog, node.left, memo))
+        if node.kind not in (JoinKind.SEMI, JoinKind.ANTI):
+            lineage.update(column_lineage(catalog, node.right, memo))
+    memo[id(node)] = lineage  # conc: safe — per-compile memo
+    return lineage

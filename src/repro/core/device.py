@@ -93,12 +93,6 @@ class AquomanDevice:
         self.groupby_accel = AggregateGroupBy()
         self.meters = DeviceMeters()
 
-    @classmethod
-    def from_database(
-        cls, catalog: Catalog, **config_kwargs
-    ) -> "AquomanDevice":
-        return cls(catalog, DeviceConfig(**config_kwargs))
-
     # -- flash traffic ---------------------------------------------------------
 
     def charge_column_read(

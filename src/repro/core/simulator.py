@@ -22,10 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.analysis.suspend import subtree_reduces as _subtree_reduces
 from repro.core.compiler import (
     CompiledQuery,
-    OffloadDecision,
     QueryCompiler,
     REAL_SUSPENSIONS,
     SuspendReason,
@@ -37,7 +35,7 @@ from repro.faults.injector import get_fault_injector
 from repro.core.regex_accel import HeapTooLarge
 from repro.core.row_selector import extract_predicate_program
 from repro.core.swissknife.groupby import HASH_BUCKETS, zip_group_columns
-from repro.engine.executor import Engine, aggregate_relation
+from repro.engine.executor import Engine, _pair_relation, aggregate_relation
 from repro.engine.operators.joins import inner_join_indices, semi_join_mask
 from repro.engine.relation import Relation, typed_array_from_column
 from repro.obs import METRICS, NULL_TRACER, NullTracer, Tracer
@@ -375,17 +373,6 @@ class DeviceExecutor:
     def _pair(
         self, left: _DeviceRel, right: _DeviceRel, li, ri
     ) -> _DeviceRel:
-        columns: dict[str, TypedArray] = {}
-        for name, arr in left.relation.columns.items():
-            columns[name] = TypedArray(
-                arr.values[li], arr.kind, arr.scale, arr.heap
-            )
-        for name, arr in right.relation.columns.items():
-            if name in columns:
-                raise ValueError(f"join column collision on {name!r}")
-            columns[name] = TypedArray(
-                arr.values[ri], arr.kind, arr.scale, arr.heap
-            )
         rowid_map = {t: ids[li] for t, ids in left.rowid_map.items()}
         rowid_map.update(
             {t: ids[ri] for t, ids in right.rowid_map.items()}
@@ -393,7 +380,7 @@ class DeviceExecutor:
         origin = dict(left.origin)
         origin.update(right.origin)
         return _DeviceRel(
-            relation=Relation(columns),
+            relation=_pair_relation(left.relation, right.relation, li, ri),
             rowid_map=rowid_map,
             origin=origin,
             charged=left.charged | right.charged,
@@ -540,21 +527,25 @@ class DeviceExecutor:
 
 
 class HybridEngine(Engine):
-    """The host engine with device offload at compiled boundaries."""
+    """The host engine with device offload at compiled boundaries:
+    exactly the compiled query's offload roots run on the device."""
 
     def __init__(
         self,
         catalog,
         device: AquomanDevice,
-        decisions: dict[int, OffloadDecision],
-        offload_roots: set[int],
+        compiled: CompiledQuery,
         trace: QueryTrace,
         tracer: Tracer | NullTracer | None = None,
     ):
         super().__init__(catalog, trace, tracer=tracer)
         self.device = device
-        self.decisions = decisions
-        self.offload_roots = offload_roots
+        self.compiled = compiled
+        self.device_roots = {
+            id(root)
+            for unit in compiled.flatten()
+            for root in unit.offload_roots()
+        }
         self.device_rows = 0
         self.runtime_suspensions: set[SuspendReason] = set()
         # Deterministic device-fault addressing: the host plan walk is
@@ -563,11 +554,7 @@ class HybridEngine(Engine):
         self._fault_sites = itertools.count()
 
     def _run(self, plan: Plan) -> Relation:
-        decision = self.decisions.get(id(plan))
-        worth_offloading = _subtree_reduces(plan) or (
-            decision is not None and decision.stream_for_assist
-        )
-        if id(plan) in self.offload_roots and worth_offloading:
+        if id(plan) in self.device_roots:
             meters_snapshot = replace(self.device.meters)
             executor = DeviceExecutor(self.device, self.scalar)
             subtree = self.tracer.span(
@@ -645,11 +632,9 @@ class HybridEngine(Engine):
 
     def _run_aggregate(self, plan: Aggregate) -> Relation:
         out = super()._run_aggregate(plan)
-        decision = self.decisions.get(id(plan))
         if (
-            decision is not None
-            and decision.device_assisted
-            and id(plan.child) in self.offload_roots
+            id(plan.child) in self.device_roots
+            and self.compiled.decision(plan).device_assisted
         ):
             # The device streamed and pre-hashed this aggregate's
             # input; the host only accumulates (Sec. VI-E spill mode).
@@ -692,12 +677,6 @@ class AquomanSimulator:
         with self.tracer.span("device.compile", query=query):
             compiled = self.compiler.compile(plan)
 
-        decisions: dict[int, OffloadDecision] = {}
-        offload_roots: set[int] = set()
-        for unit in compiled.flatten():
-            decisions.update(unit.decisions)
-            offload_roots.update(id(r) for r in unit.offload_roots())
-
         device = AquomanDevice(
             self.catalog, self.config, tracer=self.tracer
         )
@@ -706,8 +685,7 @@ class AquomanSimulator:
             scale_factor=getattr(self.catalog, "scale_factor", 1.0),
         )
         engine = HybridEngine(
-            self.catalog, device, decisions, offload_roots, trace,
-            tracer=self.tracer,
+            self.catalog, device, compiled, trace, tracer=self.tracer
         )
         relation = engine.execute_relation(plan)
 

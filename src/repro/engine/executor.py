@@ -318,14 +318,14 @@ class Engine:
             li, ri = inner_join_indices(left_keys, right_keys)
             pairs = len(li)
             if plan.residual is not None:
-                joined = _pair_relation(left, right, li, ri, plan.left_key)
+                joined = _pair_relation(left, right, li, ri)
                 residual = evaluate(
                     plan.residual, self._context(joined)
                 ).values.astype(np.bool_)
                 li, ri = li[residual], ri[residual]
 
             if plan.kind is JoinKind.INNER:
-                out = _pair_relation(left, right, li, ri, plan.left_key)
+                out = _pair_relation(left, right, li, ri)
             elif plan.kind is JoinKind.SEMI:
                 keep = np.zeros(left.nrows, dtype=np.bool_)
                 keep[li] = True
@@ -335,9 +335,7 @@ class Engine:
                 keep[li] = False
                 out = left.mask(keep)
             elif plan.kind is JoinKind.LEFT_OUTER:
-                out = _left_outer_relation(
-                    left, right, li, ri, plan.left_key
-                )
+                out = _left_outer_relation(left, right, li, ri)
             else:  # pragma: no cover - exhaustive over JoinKind
                 raise NotImplementedError(plan.kind)
 
@@ -540,7 +538,6 @@ def _pair_relation(
     right: Relation,
     li: np.ndarray,
     ri: np.ndarray,
-    left_key: str,
 ) -> Relation:
     """Materialise inner-join pairs: left columns then right columns.
 
@@ -564,7 +561,6 @@ def _left_outer_relation(
     right: Relation,
     li: np.ndarray,
     ri: np.ndarray,
-    left_key: str,
 ) -> Relation:
     """Left-outer pairs plus a ``@matched`` flag column.
 

@@ -241,7 +241,10 @@ def _column_resolver(stmt: SelectStatement, catalog: Catalog):
     tables = [t for t, _ in stmt.tables]
     owners: dict[str, str] = {}
     for table_name in tables:
-        table = catalog.table(table_name)
+        try:
+            table = catalog.table(table_name)
+        except KeyError as err:
+            raise PlanningError(err.args[0]) from None
         for column in table.column_names:
             if column in owners:
                 raise PlanningError(

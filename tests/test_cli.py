@@ -33,6 +33,29 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["query", "--sf", "0.002"])
 
+    @pytest.mark.parametrize("command", ["query", "explain", "analyze"])
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (["--sql", "SELECT"], "unexpected end"),
+            (["--sql", "SELECT nope FROM lineitem"], "'nope' not found"),
+            (["--sql", "SELECT x FROM nosuch"], "no table 'nosuch'"),
+            (["23"], "queries 1-22"),
+        ],
+        ids=["syntax", "unknown-column", "unknown-table", "bad-number"],
+    )
+    def test_bad_query_is_one_error_line(
+        self, capsys, command, source, message
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *source, "--sf", "0.002"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_explain(self, capsys):
         assert main(["explain", "9", "--sf", "0.002"]) == 0
         out = capsys.readouterr().out

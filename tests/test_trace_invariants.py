@@ -11,6 +11,7 @@ import pytest
 
 from repro import tpch
 from repro.core import AquomanSimulator, DeviceConfig
+from repro.core.compiler import CompiledQuery, OffloadDecision
 from repro.core.device import AquomanDevice
 from repro.core.simulator import HybridEngine
 from repro.engine import Engine
@@ -48,10 +49,15 @@ class TestHostPathFlashAgreement:
 
         device = AquomanDevice(tiny_db, DeviceConfig())
         trace = QueryTrace()
-        # Empty decisions/offload_roots force every node down the
-        # host path; only the trace bookkeeping differs from Engine.
-        hybrid = HybridEngine(tiny_db, device, {}, set(), trace)
-        hybrid.execute_relation(tpch.query(qnum))
+        # A compilation that marks every node host has no offload
+        # roots, forcing every node down the host path; only the trace
+        # bookkeeping differs from Engine.
+        plan = tpch.query(qnum)
+        all_host = CompiledQuery(
+            plan, {id(node): OffloadDecision(False) for node in plan.walk()}
+        )
+        hybrid = HybridEngine(tiny_db, device, all_host, trace)
+        hybrid.execute_relation(plan)
 
         assert trace.flash_read_bytes == baseline.trace.flash_read_bytes
         assert device.meters.flash_bytes == 0  # nothing ran on-device
